@@ -26,6 +26,8 @@
 package cooperative
 
 import (
+	"slices"
+
 	"termproto/internal/proto"
 )
 
@@ -233,8 +235,19 @@ func (s *site) collectedAllAcks(env proto.Env) bool {
 	return true
 }
 
-func (s *site) finishCommit(env proto.Env) {
+// reporters lists the sites that answered the election in ascending order,
+// so the coordinator's sends (and hence the whole run) are deterministic.
+func (s *site) reporters() []proto.SiteID {
+	ids := make([]proto.SiteID, 0, len(s.reports))
 	for id := range s.reports {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+func (s *site) finishCommit(env proto.Env) {
+	for _, id := range s.reporters() {
 		env.Send(id, proto.MsgCommit, nil)
 	}
 	s.decide(env, proto.Commit)
@@ -289,8 +302,8 @@ func (s *site) evaluate(env proto.Env) {
 		if s.state == "w" {
 			s.state = "p"
 		}
-		for id, st := range s.reports {
-			if st == "w" {
+		for _, id := range s.reporters() {
+			if s.reports[id] == "w" {
 				env.Send(id, proto.MsgPrepare, nil)
 			} else {
 				s.termAcks.Add(id)
@@ -310,7 +323,7 @@ func (s *site) evaluate(env proto.Env) {
 }
 
 func (s *site) broadcastDecision(env proto.Env, kind proto.Kind) {
-	for id := range s.reports {
+	for _, id := range s.reporters() {
 		env.Send(id, kind, nil)
 	}
 }
