@@ -134,9 +134,7 @@ func BenchmarkE16_RecoveryChurn(b *testing.B) {
 // protocol transaction (4 sites) through the simulator.
 func BenchmarkP1_ProtocolRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := termproto.Run(termproto.Options{
-			N: 4, Protocol: termproto.Termination(), DisableTrace: true,
-		})
+		r := runOne(b, termproto.ClusterConfig{Sites: 4, Protocol: termproto.Termination()})
 		if !r.Consistent() {
 			b.Fatal("inconsistent")
 		}
@@ -147,9 +145,9 @@ func BenchmarkP1_ProtocolRound(b *testing.B) {
 // transaction including the 5T window and probe traffic.
 func BenchmarkP2_PartitionedRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := termproto.Run(termproto.Options{
-			N: 5, Protocol: termproto.Termination(), DisableTrace: true,
-			Partition: &termproto.Partition{At: 2500, G2: termproto.G2(4, 5)},
+		r := runOne(b, termproto.ClusterConfig{
+			Sites: 5, Protocol: termproto.Termination(),
+			Schedule: termproto.Schedule{termproto.PartitionAt(2500, 4, 5)},
 		})
 		if !r.Consistent() {
 			b.Fatal("inconsistent")
@@ -238,9 +236,9 @@ func BenchmarkP7_FSAReachability(b *testing.B) {
 // termination (polling rounds included) for comparison with P2.
 func BenchmarkP8_QuorumRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := termproto.Run(termproto.Options{
-			N: 5, Protocol: termproto.Quorum(), DisableTrace: true,
-			Partition: &termproto.Partition{At: 2500, G2: termproto.G2(4, 5)},
+		r := runOne(b, termproto.ClusterConfig{
+			Sites: 5, Protocol: termproto.Quorum(),
+			Schedule: termproto.Schedule{termproto.PartitionAt(2500, 4, 5)},
 		})
 		if !r.Consistent() {
 			b.Fatal("inconsistent")

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"termproto"
@@ -15,29 +16,40 @@ import (
 func main() {
 	const liveT = 20 * time.Millisecond
 
+	// Schedule times are ticks; the live backend maps T = 1000 ticks onto
+	// liveT of wall time. The partition rises mid-protocol and heals 12
+	// windows later.
 	fmt.Println("5 live sites, T =", liveT)
-	c := termproto.NewLive(termproto.LiveConfig{
-		N:        5,
+	fmt.Println("partition: sites 4 and 5 separated at 2T, healed at 14T")
+	c, err := termproto.Open(termproto.ClusterConfig{
+		Sites:    5,
 		Protocol: termproto.TerminationTransient(),
-		T:        liveT,
+		Backend:  termproto.NewLiveBackend(termproto.LiveOptions{T: liveT, WaitTimeout: 60 * liveT}),
+		Schedule: termproto.Schedule{
+			termproto.TransientPartitionAt(2000, 14000, 4, 5),
+		},
 	})
-	c.Start()
-
-	// Raise the partition mid-protocol and heal it two windows later.
-	time.AfterFunc(2*liveT, func() {
-		fmt.Println("... partition rises: sites 4 and 5 separated")
-		c.Partition(4, 5)
-	})
-	time.AfterFunc(14*liveT, func() {
-		fmt.Println("... partition heals")
-		c.Heal()
-	})
-
-	outs, all := c.Wait(60 * liveT)
-	fmt.Println()
-	for _, o := range outs {
-		fmt.Printf("  %s\n", o)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("\nall participants decided: %v\n", all)
-	fmt.Printf("outcomes consistent:      %v\n", termproto.LiveConsistent(outs))
+	r, err := c.Submit(termproto.Txn{Master: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		log.Fatal(err)
+	}
+	// Closing stops the site goroutines, which makes their final automaton
+	// states readable.
+	if err := c.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Println()
+	for _, id := range r.Participants {
+		s := r.Sites[id]
+		fmt.Printf("  site %d: %s (state %s)\n", id, s.Outcome, s.FinalState)
+	}
+	fmt.Printf("\nall participants decided: %v\n", r.Decided())
+	fmt.Printf("outcomes consistent:      %v\n", r.Consistent())
 }

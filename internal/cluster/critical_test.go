@@ -1,8 +1,9 @@
-package harness
+package cluster_test
 
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/fourpc"
@@ -32,12 +33,10 @@ func TestTerminationCriticalInstantSweep(t *testing.T) {
 	for _, frac := range []float64{1.0, 0.5} {
 		for _, split := range [][]proto.SiteID{{3}, {2, 3}, {3, 4}} {
 			for _, at := range criticalInstants() {
-				r := Run(Options{
-					N: 4, Protocol: core.Protocol{},
-					Latency:      simnet.Fixed{D: T},
-					BoundaryFrac: frac,
-					Partition:    &simnet.Partition{At: at, G2: g2(split...)},
-				})
+				r := runOne(t, cluster.Config{
+					Sites: 4, Protocol: core.Protocol{},
+					Schedule: partitioned(at, split...),
+				}, cluster.SimOptions{Latency: simnet.Fixed{D: T}, BoundaryFrac: frac})
 				if !r.Consistent() {
 					t.Fatalf("f=%.1f split=%v onset=%d: INCONSISTENT\n%s",
 						frac, split, at, r.Trace.Dump())
@@ -48,7 +47,7 @@ func TestTerminationCriticalInstantSweep(t *testing.T) {
 				}
 				// The G2-commit law at every critical instant.
 				prepCrossed := r.Trace.CrossDelivered("prepare") > 0
-				g2Commit := r.Outcome(split[len(split)-1]) == proto.Commit
+				g2Commit := r.outcome(split[len(split)-1]) == proto.Commit
 				if prepCrossed != g2Commit {
 					t.Fatalf("f=%.1f split=%v onset=%d: law violated (crossed=%v commit=%v)\n%s",
 						frac, split, at, prepCrossed, g2Commit, r.Trace.Dump())
@@ -66,11 +65,10 @@ func TestFourPCCriticalInstantSweep(t *testing.T) {
 		instants = append(instants, 7*Tt+delta, 8*Tt+delta)
 	}
 	for _, at := range instants {
-		r := Run(Options{
-			N: 4, Protocol: fourpc.Protocol{},
-			Latency:   simnet.Fixed{D: T},
-			Partition: &simnet.Partition{At: at, G2: g2(3, 4)},
-		})
+		r := runOne(t, cluster.Config{
+			Sites: 4, Protocol: fourpc.Protocol{},
+			Schedule: partitioned(at, 3, 4),
+		}, cluster.SimOptions{Latency: simnet.Fixed{D: T}})
 		if !r.Consistent() || len(r.Blocked()) != 0 {
 			t.Fatalf("4pc onset=%d: consistent=%v blocked=%v\n%s",
 				at, r.Consistent(), r.Blocked(), r.Trace.Dump())
@@ -89,11 +87,10 @@ func TestTerminationTransientCriticalHeals(t *testing.T) {
 				if heal <= onset {
 					continue
 				}
-				r := Run(Options{
-					N: 4, Protocol: core.Protocol{TransientFix: true},
-					Latency:   simnet.Fixed{D: T},
-					Partition: &simnet.Partition{At: onset, Heal: heal, G2: g2(3, 4)},
-				})
+				r := runOne(t, cluster.Config{
+					Sites: 4, Protocol: core.Protocol{TransientFix: true},
+					Schedule: cluster.Schedule{cluster.TransientPartitionAt(onset, heal, 3, 4)},
+				}, cluster.SimOptions{Latency: simnet.Fixed{D: T}})
 				if !r.Consistent() {
 					t.Fatalf("onset=%d heal=%d: INCONSISTENT\n%s", onset, heal, r.Trace.Dump())
 				}
@@ -111,10 +108,10 @@ func TestTerminationTransientCriticalHeals(t *testing.T) {
 func TestTerminationSlaveCrashWithoutPartition(t *testing.T) {
 	for victim := proto.SiteID(2); victim <= 4; victim++ {
 		for at := sim.Time(1); at <= 6*Tt; at += Tt / 4 {
-			r := Run(Options{
-				N: 4, Protocol: core.Protocol{},
-				Crash: map[proto.SiteID]sim.Time{victim: at},
-			})
+			r := runOne(t, cluster.Config{
+				Sites: 4, Protocol: core.Protocol{},
+				Schedule: cluster.Schedule{cluster.CrashAt(at, victim)},
+			}, cluster.SimOptions{})
 			if !r.Consistent() {
 				t.Fatalf("victim=%d crash=%d: INCONSISTENT among live sites\n%s",
 					victim, at, r.Trace.Dump())
@@ -137,11 +134,11 @@ func TestTerminationVotePartitionMatrix(t *testing.T) {
 	for noVoter := proto.SiteID(2); noVoter <= 4; noVoter++ {
 		for _, split := range [][]proto.SiteID{{2}, {3}, {4}, {2, 4}, {3, 4}} {
 			for at := sim.Time(0); at <= 5*Tt; at += Tt / 2 {
-				r := Run(Options{
-					N: 4, Protocol: core.Protocol{},
-					Votes:     NoAt(noVoter),
-					Partition: &simnet.Partition{At: at, G2: g2(split...)},
-				})
+				r := runOne(t, cluster.Config{
+					Sites: 4, Protocol: core.Protocol{},
+					Votes:    proto.NoAt(noVoter),
+					Schedule: partitioned(at, split...),
+				}, cluster.SimOptions{})
 				if !r.Consistent() {
 					t.Fatalf("no@%d split=%v onset=%d: INCONSISTENT\n%s",
 						noVoter, split, at, r.Trace.Dump())
@@ -150,7 +147,7 @@ func TestTerminationVotePartitionMatrix(t *testing.T) {
 					t.Fatalf("no@%d split=%v onset=%d: blocked %v",
 						noVoter, split, at, r.Blocked())
 				}
-				if r.AnyCommitted() {
+				if r.anyCommitted() {
 					t.Fatalf("no@%d split=%v onset=%d: committed despite a no-vote",
 						noVoter, split, at)
 				}
@@ -162,11 +159,11 @@ func TestTerminationVotePartitionMatrix(t *testing.T) {
 // Master votes no: instant abort everywhere, partition or not.
 func TestTerminationMasterNoVoteUnderPartition(t *testing.T) {
 	for at := sim.Time(0); at <= 3*Tt; at += Tt {
-		r := Run(Options{
-			N: 3, Protocol: core.Protocol{}, Votes: NoAt(1),
-			Partition: &simnet.Partition{At: at, G2: g2(3)},
-		})
-		if !r.Consistent() || r.Outcome(1) != proto.Abort {
+		r := runOne(t, cluster.Config{
+			Sites: 3, Protocol: core.Protocol{}, Votes: proto.NoAt(1),
+			Schedule: partitioned(at, 3),
+		}, cluster.SimOptions{})
+		if !r.Consistent() || r.outcome(1) != proto.Abort {
 			t.Fatalf("onset %d: master no-vote mishandled", at)
 		}
 	}
@@ -177,11 +174,10 @@ func TestTerminationMasterNoVoteUnderPartition(t *testing.T) {
 func TestTerminationBoundaryFracSweep(t *testing.T) {
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
 		for at := sim.Time(Tt); at <= 5*Tt; at += Tt / 2 {
-			r := Run(Options{
-				N: 4, Protocol: core.Protocol{},
-				BoundaryFrac: frac,
-				Partition:    &simnet.Partition{At: at, G2: g2(3, 4)},
-			})
+			r := runOne(t, cluster.Config{
+				Sites: 4, Protocol: core.Protocol{},
+				Schedule: partitioned(at, 3, 4),
+			}, cluster.SimOptions{BoundaryFrac: frac})
 			if !r.Consistent() || len(r.Blocked()) != 0 {
 				t.Fatalf("frac=%.2f onset=%d: consistent=%v blocked=%v\n%s",
 					frac, at, r.Consistent(), r.Blocked(), r.Trace.Dump())

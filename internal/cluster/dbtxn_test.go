@@ -1,20 +1,20 @@
-package harness
+package cluster_test
 
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
 	"termproto/internal/db/wal"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/twopc"
-	"termproto/internal/simnet"
 )
 
-// engines builds one database engine per site with an initial balance of
-// `initial` under key "acct" at every site (fully replicated row).
-func engines(n int, initial int64) map[proto.SiteID]Participant {
-	out := make(map[proto.SiteID]Participant, n)
+// acctEngines builds one database engine per site with an initial balance
+// of `initial` under key "acct" at every site (fully replicated row).
+func acctEngines(n int, initial int64) map[proto.SiteID]proto.Participant {
+	out := make(map[proto.SiteID]proto.Participant, n)
 	for i := 1; i <= n; i++ {
 		e := engine.New("site", &wal.MemStore{})
 		e.PutInt("acct", initial)
@@ -23,13 +23,34 @@ func engines(n int, initial int64) map[proto.SiteID]Participant {
 	return out
 }
 
-func transfer(amount int64) []byte {
+func acctAdd(amount int64) []byte {
 	return engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct", Delta: amount}})
 }
 
+// runDB runs transaction tid with the given body at site-1 mastership on
+// a fresh simulated cluster over the caller's engines. Sequential runs
+// over the same engines keep their TIDs distinct, as durable engines
+// require.
+func runDB(t *testing.T, cfg cluster.Config, tid proto.TxnID, payload []byte) *cluster.TxnResult {
+	t.Helper()
+	c, err := cluster.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(cluster.Txn{ID: tid, Master: 1, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestDBCommitAppliesEverywhere(t *testing.T) {
-	parts := engines(4, 100)
-	r := Run(Options{N: 4, Protocol: core.Protocol{}, Participants: parts, Payload: transfer(-25)})
+	parts := acctEngines(4, 100)
+	r := runDB(t, cluster.Config{Sites: 4, Protocol: core.Protocol{}, Participants: parts}, 1, acctAdd(-25))
 	if !r.Consistent() {
 		t.Fatal("inconsistent")
 	}
@@ -45,15 +66,15 @@ func TestDBCommitAppliesEverywhere(t *testing.T) {
 }
 
 func TestDBGuardVoteNoAbortsEverywhere(t *testing.T) {
-	parts := engines(3, 10)
+	parts := acctEngines(3, 10)
 	// Make site 3 unable to cover the debit: its vote no must abort all.
 	parts[3].(*engine.Engine).PutInt("acct", 1)
-	r := Run(Options{N: 3, Protocol: core.Protocol{}, Participants: parts, Payload: transfer(-5)})
+	r := runDB(t, cluster.Config{Sites: 3, Protocol: core.Protocol{}, Participants: parts}, 1, acctAdd(-5))
 	if !r.Consistent() {
 		t.Fatal("inconsistent")
 	}
-	if r.Outcome(1) != proto.Abort {
-		t.Fatalf("outcome = %v, want abort", r.Outcome(1))
+	if r.Sites[1].Outcome != proto.Abort {
+		t.Fatalf("outcome = %v, want abort", r.Sites[1].Outcome)
 	}
 	if got := parts[1].(*engine.Engine).GetInt("acct"); got != 10 {
 		t.Fatalf("site 1 acct = %d, want untouched 10", got)
@@ -66,16 +87,13 @@ func TestDBGuardVoteNoAbortsEverywhere(t *testing.T) {
 // locks are freed, and the later transaction succeeds.
 func TestDBLockBlockingMotivation(t *testing.T) {
 	onset := 2*Tt + 1 // after votes, before commits: commit_3 bounces
-	part := func() *simnet.Partition {
-		return &simnet.Partition{At: onset, G2: g2(3)}
-	}
+	part := partitioned(onset, 3)
 
 	// --- 2PC: site 3 wedges in w holding the row lock ---
-	parts2pc := engines(3, 100)
-	r1 := Run(Options{
-		N: 3, Protocol: twopc.Protocol{}, Participants: parts2pc,
-		Partition: part(), Payload: transfer(-10), TID: 1,
-	})
+	parts2pc := acctEngines(3, 100)
+	r1 := runDB(t, cluster.Config{
+		Sites: 3, Protocol: twopc.Protocol{}, Participants: parts2pc, Schedule: part,
+	}, 1, acctAdd(-10))
 	if len(r1.Blocked()) != 1 || r1.Blocked()[0] != 3 {
 		t.Fatalf("2pc blocked = %v, want [3]", r1.Blocked())
 	}
@@ -84,16 +102,15 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 		t.Fatal("blocked 2PC slave must hold the row lock (paper §2)")
 	}
 	// A later transaction on the same row at site 3 votes no.
-	if site3.Execute(2, transfer(-1)) {
+	if site3.Execute(2, acctAdd(-1)) {
 		t.Fatal("second txn acquired a lock held by the blocked txn")
 	}
 
 	// --- termination protocol: everything terminates, locks freed ---
-	partsTerm := engines(3, 100)
-	r2 := Run(Options{
-		N: 3, Protocol: core.Protocol{}, Participants: partsTerm,
-		Partition: part(), Payload: transfer(-10), TID: 1,
-	})
+	partsTerm := acctEngines(3, 100)
+	r2 := runDB(t, cluster.Config{
+		Sites: 3, Protocol: core.Protocol{}, Participants: partsTerm, Schedule: part,
+	}, 1, acctAdd(-10))
 	if !r2.Consistent() || len(r2.Blocked()) != 0 {
 		t.Fatalf("termination: consistent=%v blocked=%v", r2.Consistent(), r2.Blocked())
 	}
@@ -104,7 +121,7 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 		}
 		// The commit crossed B before the partition? commit_3 bounced, so
 		// the G2-commit law decides; either way all sites agree.
-		if got, want := e.GetInt("acct"), int64(100); r2.Outcome(1) == proto.Commit {
+		if got, want := e.GetInt("acct"), int64(100); r2.Sites[1].Outcome == proto.Commit {
 			want = 90
 			if got != want {
 				t.Fatalf("site %d acct = %d, want %d", id, got, want)
@@ -114,19 +131,16 @@ func TestDBLockBlockingMotivation(t *testing.T) {
 		}
 	}
 	// And a follow-up transaction now succeeds everywhere.
-	r3 := Run(Options{
-		N: 3, Protocol: core.Protocol{}, Participants: partsTerm,
-		Payload: transfer(-7), TID: 2,
-	})
-	if r3.Outcome(1) != proto.Commit {
-		t.Fatalf("follow-up txn = %v, want commit", r3.Outcome(1))
+	r3 := runDB(t, cluster.Config{Sites: 3, Protocol: core.Protocol{}, Participants: partsTerm}, 2, acctAdd(-7))
+	if r3.Sites[1].Outcome != proto.Commit {
+		t.Fatalf("follow-up txn = %v, want commit", r3.Sites[1].Outcome)
 	}
 }
 
 // Sequential transfers across partitions conserve the replicated balance
 // at every site that applied the same decision sequence.
 func TestDBSequentialTransfersStayReplicated(t *testing.T) {
-	parts := engines(5, 1000)
+	parts := acctEngines(5, 1000)
 	tid := proto.TxnID(1)
 	for _, step := range []struct {
 		amount int64
@@ -138,14 +152,11 @@ func TestDBSequentialTransfersStayReplicated(t *testing.T) {
 		{+25, nil},
 		{-1, []proto.SiteID{2, 3, 4}},
 	} {
-		opts := Options{
-			N: 5, Protocol: core.Protocol{}, Participants: parts,
-			Payload: transfer(step.amount), TID: tid,
-		}
+		cfg := cluster.Config{Sites: 5, Protocol: core.Protocol{}, Participants: parts}
 		if step.g2 != nil {
-			opts.Partition = &simnet.Partition{At: 2*Tt + 500, G2: g2(step.g2...)}
+			cfg.Schedule = partitioned(2*Tt+500, step.g2...)
 		}
-		r := Run(opts)
+		r := runDB(t, cfg, tid, acctAdd(step.amount))
 		if !r.Consistent() || len(r.Blocked()) != 0 {
 			t.Fatalf("tid %d: consistent=%v blocked=%v", tid, r.Consistent(), r.Blocked())
 		}
@@ -167,7 +178,7 @@ func TestDBSequentialTransfersStayReplicated(t *testing.T) {
 // once learned — applies idempotently.
 func TestDBCrashRecoveryOfInDoubtTxn(t *testing.T) {
 	stores := map[proto.SiteID]*wal.MemStore{}
-	parts := map[proto.SiteID]Participant{}
+	parts := map[proto.SiteID]proto.Participant{}
 	for i := proto.SiteID(1); i <= 3; i++ {
 		st := &wal.MemStore{}
 		stores[i] = st
@@ -177,15 +188,14 @@ func TestDBCrashRecoveryOfInDoubtTxn(t *testing.T) {
 	}
 
 	// 2PC with commit_3 bounced: site 3 is left in doubt.
-	r := Run(Options{
-		N: 3, Protocol: twopc.Protocol{}, Participants: parts,
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-		Payload:   transfer(-40), TID: 9,
-	})
-	if r.Outcome(1) != proto.Commit {
-		t.Fatalf("master = %v, want commit", r.Outcome(1))
+	r := runDB(t, cluster.Config{
+		Sites: 3, Protocol: twopc.Protocol{}, Participants: parts,
+		Schedule: partitioned(2*Tt+1, 3),
+	}, 9, acctAdd(-40))
+	if r.Sites[1].Outcome != proto.Commit {
+		t.Fatalf("master = %v, want commit", r.Sites[1].Outcome)
 	}
-	if got := r.Outcome(3); got != proto.None {
+	if got := r.Sites[3].Outcome; got != proto.None {
 		t.Fatalf("site 3 = %v, want in doubt", got)
 	}
 
@@ -204,7 +214,7 @@ func TestDBCrashRecoveryOfInDoubtTxn(t *testing.T) {
 	}
 	// A local transaction on the row is still refused — blocking survives
 	// restarts, exactly the paper's point.
-	if rec.Execute(10, transfer(-1)) {
+	if rec.Execute(10, acctAdd(-1)) {
 		t.Fatal("conflicting txn prepared against a recovered in-doubt lock")
 	}
 

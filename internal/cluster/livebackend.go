@@ -117,14 +117,6 @@ func (b *LiveBackend) Open(cfg Config) error {
 			lcfg.Participants[id] = p
 		}
 	}
-	if cfg.Votes != nil {
-		votes := cfg.Votes
-		lcfg.Votes = func(site proto.SiteID, payload []byte) bool {
-			// The per-txn TID is bound in Submit's TxnSpec voter; this
-			// cluster-level fallback sees only voter-less transactions.
-			return votes(site, 0, payload)
-		}
-	}
 	b.leases = newLeaseKeeper(cfg, nil)
 	b.leases.seed(0)
 	b.lc = livenet.New(lcfg)

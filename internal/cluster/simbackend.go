@@ -29,6 +29,10 @@ type SimOptions struct {
 	// RecordTrace keeps the full execution trace (off by default: traces
 	// of big multiplexed runs are large).
 	RecordTrace bool
+	// TimersFirst flips the scheduler's same-timestamp ordering so timers
+	// beat deliveries — the ablation of the tie-break rule the paper's
+	// timing analysis depends on (see sim.Scheduler.SetTimersFirst).
+	TimersFirst bool
 }
 
 // SimBackend multiplexes any number of concurrent transactions over one
@@ -100,6 +104,7 @@ func (b *SimBackend) Open(cfg Config) error {
 	}
 	b.cfg = cfg
 	b.sched = sim.NewScheduler()
+	b.sched.SetTimersFirst(b.opts.TimersFirst)
 	if b.opts.RecordTrace {
 		b.rec = &trace.Recorder{}
 	}
@@ -329,7 +334,7 @@ func (b *SimBackend) startTxn(t Txn, res *TxnResult) {
 		b.spawned[id]++
 	}
 	// Start in site order after every env exists, so a master's first
-	// sends find all handlers registered — same convention as the harness.
+	// sends find all handlers registered.
 	for _, id := range sites {
 		if e := b.muxes[id].envs[t.ID]; e != nil {
 			e.start()

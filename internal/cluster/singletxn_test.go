@@ -1,8 +1,9 @@
-package harness
+package cluster_test
 
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
 	"termproto/internal/proto"
 	"termproto/internal/protocol/threepc"
@@ -14,14 +15,62 @@ import (
 	"termproto/internal/trace"
 )
 
+// Single-transaction protocol scenarios in the paper's shape: sites
+// 1..n, master 1, one transaction submitted at tick 0 on the
+// deterministic simulator and run to quiescence.
+
 const (
 	T  = sim.DefaultT
 	Tt = sim.Time(sim.DefaultT)
 )
 
-func g2(ids ...proto.SiteID) map[proto.SiteID]bool { return simnet.G2Set(ids...) }
+// oneRun is a finished single-transaction run.
+type oneRun struct {
+	*cluster.TxnResult
+	Trace *trace.Recorder
+	Net   cluster.NetStats
+}
 
-func allOutcomes(t *testing.T, r *Result, want proto.Outcome) {
+func (r *oneRun) outcome(id proto.SiteID) proto.Outcome { return r.Sites[id].Outcome }
+
+// anyCommitted reports whether any site committed, agreeing or not.
+func (r *oneRun) anyCommitted() bool {
+	for _, s := range r.Sites {
+		if s.Outcome == proto.Commit {
+			return true
+		}
+	}
+	return false
+}
+
+// runOne submits one transaction mastered at site 1 at tick 0 and waits
+// for quiescence. The trace is always recorded.
+func runOne(t testing.TB, cfg cluster.Config, opts cluster.SimOptions) *oneRun {
+	t.Helper()
+	opts.RecordTrace = true
+	b := cluster.NewSimBackend(opts)
+	cfg.Backend = b
+	c, err := cluster.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(cluster.Txn{Master: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return &oneRun{TxnResult: r, Trace: b.Trace(), Net: b.NetStats()}
+}
+
+// partitioned is the one-event schedule separating g2 at time at.
+func partitioned(at sim.Time, g2 ...proto.SiteID) cluster.Schedule {
+	return cluster.Schedule{cluster.PartitionAt(at, g2...)}
+}
+
+func allOutcomes(t *testing.T, r *oneRun, want proto.Outcome) {
 	t.Helper()
 	for id, s := range r.Sites {
 		if s.Outcome != want {
@@ -47,7 +96,7 @@ func protocols() []proto.Protocol {
 func TestFailureFreeCommit(t *testing.T) {
 	for _, p := range protocols() {
 		for _, n := range []int{2, 3, 5, 8} {
-			r := Run(Options{N: n, Protocol: p})
+			r := runOne(t, cluster.Config{Sites: n, Protocol: p}, cluster.SimOptions{})
 			if !r.Consistent() {
 				t.Errorf("%s n=%d: inconsistent", p.Name(), n)
 			}
@@ -61,7 +110,7 @@ func TestFailureFreeCommit(t *testing.T) {
 
 func TestFailureFreeAbortOnNoVote(t *testing.T) {
 	for _, p := range protocols() {
-		r := Run(Options{N: 4, Protocol: p, Votes: NoAt(3)})
+		r := runOne(t, cluster.Config{Sites: 4, Protocol: p, Votes: proto.NoAt(3)}, cluster.SimOptions{})
 		if !r.Consistent() {
 			t.Errorf("%s: inconsistent on no-vote", p.Name())
 		}
@@ -75,8 +124,8 @@ func TestFailureFreeAbortOnNoVote(t *testing.T) {
 
 func TestFailureFreeMasterNoVote(t *testing.T) {
 	for _, p := range protocols() {
-		r := Run(Options{N: 3, Protocol: p, Votes: NoAt(1)})
-		if got := r.Outcome(1); got != proto.Abort {
+		r := runOne(t, cluster.Config{Sites: 3, Protocol: p, Votes: proto.NoAt(1)}, cluster.SimOptions{})
+		if got := r.outcome(1); got != proto.Abort {
 			t.Errorf("%s: master = %v, want abort", p.Name(), got)
 		}
 		if !r.Consistent() {
@@ -91,7 +140,7 @@ func TestFailureFreeMasterNoVote(t *testing.T) {
 // exactly T.
 func TestNoSpuriousTimeoutsAtMaxLatency(t *testing.T) {
 	for _, p := range protocols() {
-		r := Run(Options{N: 5, Protocol: p, Latency: simnet.Fixed{D: T}})
+		r := runOne(t, cluster.Config{Sites: 5, Protocol: p}, cluster.SimOptions{Latency: simnet.Fixed{D: T}})
 		allOutcomes(t, r, proto.Commit)
 	}
 }
@@ -102,10 +151,10 @@ func TestTwoPCBlocksUnderPartition(t *testing.T) {
 	// Partition hits after the votes arrive (2T) but before the commits
 	// land (3T): commit_3 bounces and site 3 sits in w forever holding
 	// locks, while sites 1 and 2 commit.
-	r := Run(Options{
-		N: 3, Protocol: twopc.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-	})
+	r := runOne(t, cluster.Config{
+		Sites: 3, Protocol: twopc.Protocol{},
+		Schedule: partitioned(2*Tt+1, 3),
+	}, cluster.SimOptions{})
 	blocked := r.Blocked()
 	if len(blocked) != 1 || blocked[0] != 3 {
 		t.Fatalf("blocked = %v, want [3]", blocked)
@@ -113,18 +162,18 @@ func TestTwoPCBlocksUnderPartition(t *testing.T) {
 	if r.Sites[3].FinalState != "w" {
 		t.Fatalf("site 3 state = %s, want w", r.Sites[3].FinalState)
 	}
-	if r.Outcome(1) != proto.Commit || r.Outcome(2) != proto.Commit {
-		t.Fatalf("G1 should have committed: 1=%v 2=%v", r.Outcome(1), r.Outcome(2))
+	if r.outcome(1) != proto.Commit || r.outcome(2) != proto.Commit {
+		t.Fatalf("G1 should have committed: 1=%v 2=%v", r.outcome(1), r.outcome(2))
 	}
 }
 
 func TestTwoPCMasterBlocksWhenVotesLost(t *testing.T) {
 	// Partition before the votes return: the master never collects yes_3
 	// and blocks in w1 along with every slave — total blocking.
-	r := Run(Options{
-		N: 3, Protocol: twopc.Protocol{},
-		Partition: &simnet.Partition{At: Tt + Tt/2, G2: g2(3)},
-	})
+	r := runOne(t, cluster.Config{
+		Sites: 3, Protocol: twopc.Protocol{},
+		Schedule: partitioned(Tt+Tt/2, 3),
+	}, cluster.SimOptions{})
 	if got := len(r.Blocked()); got != 3 {
 		t.Fatalf("blocked %d sites, want all 3", got)
 	}
@@ -143,14 +192,14 @@ func TestExtTwoPCMultisiteCounterexample(t *testing.T) {
 	// Timeline (T = 1000): xact at 0→T; yes arrives 2T; commits sent at 2T
 	// (master in p1). Partition at 2T+1 separates {3}: commit2 delivered
 	// at 3T, commit3 bounces.
-	r := Run(Options{
-		N: 3, Protocol: twopcext.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-	})
-	if got := r.Outcome(2); got != proto.Commit {
+	r := runOne(t, cluster.Config{
+		Sites: 3, Protocol: twopcext.Protocol{},
+		Schedule: partitioned(2*Tt+1, 3),
+	}, cluster.SimOptions{})
+	if got := r.outcome(2); got != proto.Commit {
 		t.Fatalf("site 2 = %v, want commit", got)
 	}
-	if got := r.Outcome(3); got != proto.Abort {
+	if got := r.outcome(3); got != proto.Abort {
 		t.Fatalf("site 3 = %v, want abort (paper's counterexample)", got)
 	}
 	if r.Consistent() {
@@ -165,12 +214,12 @@ func TestExtTwoPCMultisiteCounterexample(t *testing.T) {
 // paper builds on): sweep partition onsets across the whole execution.
 func TestExtTwoPCTwoSiteResilience(t *testing.T) {
 	for at := sim.Time(0); at <= 6*sim.Time(T); at += sim.Time(T) / 8 {
-		r := Run(Options{
-			N: 2, Protocol: twopcext.Protocol{},
-			Partition: &simnet.Partition{At: at, G2: g2(2)},
-		})
+		r := runOne(t, cluster.Config{
+			Sites: 2, Protocol: twopcext.Protocol{},
+			Schedule: partitioned(at, 2),
+		}, cluster.SimOptions{})
 		if !r.Consistent() {
-			t.Fatalf("onset %d: inconsistent (site1=%v site2=%v)", at, r.Outcome(1), r.Outcome(2))
+			t.Fatalf("onset %d: inconsistent (site1=%v site2=%v)", at, r.outcome(1), r.outcome(2))
 		}
 		if len(r.Blocked()) != 0 {
 			t.Fatalf("onset %d: blocked %v", at, r.Blocked())
@@ -187,14 +236,14 @@ func TestExtTwoPCTwoSiteResilience(t *testing.T) {
 func TestThreePCRulesCounterexample(t *testing.T) {
 	// xact 0→T, yes 2T, prepares sent 2T. Partition at 2T+1 separates {3}:
 	// prepare2 delivered 3T (site2 → p2), prepare3 bounces.
-	r := Run(Options{
-		N: 3, Protocol: threepcrules.Protocol{},
-		Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-	})
-	if got := r.Outcome(3); got != proto.Abort {
+	r := runOne(t, cluster.Config{
+		Sites: 3, Protocol: threepcrules.Protocol{},
+		Schedule: partitioned(2*Tt+1, 3),
+	}, cluster.SimOptions{})
+	if got := r.outcome(3); got != proto.Abort {
 		t.Fatalf("site 3 = %v, want abort", got)
 	}
-	if got := r.Outcome(2); got != proto.Commit {
+	if got := r.outcome(2); got != proto.Commit {
 		t.Fatalf("site 2 = %v, want commit", got)
 	}
 	if r.Consistent() {
@@ -208,10 +257,10 @@ func TestTerminationPermanentPartitionSweep(t *testing.T) {
 	splits := [][]proto.SiteID{{2}, {3}, {4}, {2, 3}, {3, 4}, {2, 4}, {2, 3, 4}}
 	for _, split := range splits {
 		for at := sim.Time(0); at <= 8*sim.Time(T); at += sim.Time(T) / 4 {
-			r := Run(Options{
-				N: 4, Protocol: core.Protocol{},
-				Partition: &simnet.Partition{At: at, G2: g2(split...)},
-			})
+			r := runOne(t, cluster.Config{
+				Sites: 4, Protocol: core.Protocol{},
+				Schedule: partitioned(at, split...),
+			}, cluster.SimOptions{})
 			if !r.Consistent() {
 				t.Fatalf("split %v onset %d: INCONSISTENT\n%s", split, at, r.Trace.Dump())
 			}
@@ -226,24 +275,24 @@ func TestTerminationPermanentPartitionSweep(t *testing.T) {
 // crossed the boundary B.
 func TestTerminationG2CommitLaw(t *testing.T) {
 	for at := sim.Time(0); at <= 8*sim.Time(T); at += sim.Time(T) / 8 {
-		r := Run(Options{
-			N: 5, Protocol: core.Protocol{},
-			Partition: &simnet.Partition{At: at, G2: g2(4, 5)},
-		})
+		r := runOne(t, cluster.Config{
+			Sites: 5, Protocol: core.Protocol{},
+			Schedule: partitioned(at, 4, 5),
+		}, cluster.SimOptions{})
 		if !r.Consistent() || len(r.Blocked()) != 0 {
 			t.Fatalf("onset %d: consistent=%v blocked=%v", at, r.Consistent(), r.Blocked())
 		}
 		prepareCrossed := r.Trace.CrossDelivered("prepare") > 0
-		g2Committed := r.Outcome(4) == proto.Commit
+		g2Committed := r.outcome(4) == proto.Commit
 		if prepareCrossed != g2Committed {
 			t.Fatalf("onset %d: prepare crossed B=%v but G2 committed=%v\n%s",
 				at, prepareCrossed, g2Committed, r.Trace.Dump())
 		}
 		// Lemma 5/6: within each group the outcome is uniform.
-		if r.Outcome(4) != r.Outcome(5) {
+		if r.outcome(4) != r.outcome(5) {
 			t.Fatalf("onset %d: G2 outcomes differ", at)
 		}
-		if r.Outcome(1) != r.Outcome(2) || r.Outcome(2) != r.Outcome(3) {
+		if r.outcome(1) != r.outcome(2) || r.outcome(2) != r.outcome(3) {
 			t.Fatalf("onset %d: G1 outcomes differ", at)
 		}
 	}
@@ -268,19 +317,18 @@ func TestTerminationRandomizedResilience(t *testing.T) {
 			split = []proto.SiteID{proto.SiteID(2 + rng.Intn(n-1))}
 		}
 		onset := sim.Time(rng.Int63n(int64(9 * T)))
-		opts := Options{
-			N: n, Protocol: core.Protocol{},
-			Latency:   simnet.Uniform{Lo: sim.Duration(T) / 4, Hi: T},
-			Partition: &simnet.Partition{At: onset, G2: g2(split...)},
-			Seed:      rng.Uint64(),
+		cfg := cluster.Config{Sites: n, Protocol: core.Protocol{}, Schedule: partitioned(onset, split...)}
+		opts := cluster.SimOptions{
+			Latency: simnet.Uniform{Lo: sim.Duration(T) / 4, Hi: T},
+			Seed:    rng.Uint64(),
 		}
 		if rng.Intn(4) == 0 {
-			opts.Votes = NoAt(proto.SiteID(2 + rng.Intn(n-1)))
+			cfg.Votes = proto.NoAt(proto.SiteID(2 + rng.Intn(n-1)))
 		}
 		if rng.Intn(3) == 0 {
 			opts.BoundaryFrac = 0.5
 		}
-		r := Run(opts)
+		r := runOne(t, cfg, opts)
 		if !r.Consistent() {
 			t.Fatalf("run %d (n=%d split=%v onset=%d): INCONSISTENT\n%s",
 				i, n, split, onset, r.Trace.Dump())
@@ -298,14 +346,15 @@ func TestTerminationRandomizedResilience(t *testing.T) {
 // master reaches p1 strictly before its w1 deadline; the bounced prepare's
 // UD copy then returns at exactly the p1 timer's instant.
 func TestTerminationUDTimerTie(t *testing.T) {
-	run := func(timersFirst bool) *Result {
-		return Run(Options{
-			N: 3, Protocol: core.Protocol{},
+	run := func(timersFirst bool) *oneRun {
+		return runOne(t, cluster.Config{
+			Sites: 3, Protocol: core.Protocol{},
+			Schedule: partitioned(2*Tt+1, 3),
+		}, cluster.SimOptions{
 			Latency: simnet.PerKind{
 				Default: T,
 				Rules:   []simnet.KindRule{{Kind: proto.MsgYes, D: T - 1}},
 			},
-			Partition:   &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
 			TimersFirst: timersFirst,
 		})
 	}
@@ -320,7 +369,7 @@ func TestTerminationUDTimerTie(t *testing.T) {
 	}
 	if !r.Consistent() {
 		t.Fatalf("tie case inconsistent: 1=%v 2=%v 3=%v\n%s",
-			r.Outcome(1), r.Outcome(2), r.Outcome(3), r.Trace.Dump())
+			r.outcome(1), r.outcome(2), r.outcome(3), r.Trace.Dump())
 	}
 	if len(r.Blocked()) != 0 {
 		t.Fatalf("tie case blocked: %v", r.Blocked())
@@ -356,11 +405,9 @@ func TestWToCTransitionNecessity(t *testing.T) {
 			{3, 4}: 100,
 		},
 	}
-	run := func(p proto.Protocol) *Result {
-		return Run(Options{
-			N: 4, Protocol: p, Latency: lat,
-			Partition: &simnet.Partition{At: 2500, G2: g2(3, 4)},
-		})
+	run := func(p proto.Protocol) *oneRun {
+		return runOne(t, cluster.Config{Sites: 4, Protocol: p, Schedule: partitioned(2500, 3, 4)},
+			cluster.SimOptions{Latency: lat})
 	}
 
 	fixed := run(core.Protocol{})
@@ -368,37 +415,39 @@ func TestWToCTransitionNecessity(t *testing.T) {
 		t.Fatalf("modified protocol failed: consistent=%v blocked=%v\n%s",
 			fixed.Consistent(), fixed.Blocked(), fixed.Trace.Dump())
 	}
-	if got := fixed.Outcome(4); got != proto.Commit {
+	if got := fixed.outcome(4); got != proto.Commit {
 		t.Fatalf("site 4 = %v, want commit via the w→c transition", got)
 	}
 
 	broken := run(core.Protocol{DisableWToC: true})
 	if broken.Consistent() {
 		t.Fatalf("w→c-less protocol should be inconsistent here; outcomes: 3=%v 4=%v\n%s",
-			broken.Outcome(3), broken.Outcome(4), broken.Trace.Dump())
+			broken.outcome(3), broken.outcome(4), broken.Trace.Dump())
 	}
-	if got := broken.Outcome(3); got != proto.Commit {
+	if got := broken.outcome(3); got != proto.Commit {
 		t.Fatalf("site 3 = %v, want commit (UD(ack) path)", got)
 	}
-	if got := broken.Outcome(4); got != proto.Abort {
+	if got := broken.outcome(4); got != proto.Abort {
 		t.Fatalf("site 4 = %v, want abort (missed its only commit)", got)
 	}
 }
 
-// --- Result bookkeeping ---
+// --- result bookkeeping ---
 
 func TestResultAccessors(t *testing.T) {
-	r := Run(Options{N: 3, Protocol: core.Protocol{}})
-	if r.Outcome(99) != proto.None {
-		t.Error("unknown site should be None")
+	r := runOne(t, cluster.Config{Sites: 3, Protocol: core.Protocol{}}, cluster.SimOptions{})
+	if r.Sites[99] != nil {
+		t.Error("unknown site has a result")
 	}
-	if !r.AnyCommitted() {
-		t.Error("AnyCommitted false after commit run")
+	if !r.Committed() {
+		t.Error("Committed false after commit run")
 	}
-	if r.MaxDecisionTime() == 0 {
-		t.Error("MaxDecisionTime should be > 0")
+	for id, s := range r.Sites {
+		if s.DecidedAt == 0 {
+			t.Errorf("site %d: DecidedAt should be > 0", id)
+		}
 	}
-	if r.MsgsSent == 0 || r.MsgsDelivered == 0 {
+	if r.Net.MsgsSent == 0 || r.Net.MsgsDelivered == 0 {
 		t.Error("message counters empty")
 	}
 	if !r.Decided() {
@@ -406,30 +455,12 @@ func TestResultAccessors(t *testing.T) {
 	}
 }
 
-func TestRunPanicsOnBadOptions(t *testing.T) {
-	for name, opts := range map[string]Options{
-		"n<2":         {N: 1, Protocol: core.Protocol{}},
-		"nilProtocol": {N: 3},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			Run(opts)
-		}()
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() string {
-		r := Run(Options{
-			N: 5, Protocol: core.Protocol{},
-			Latency:   simnet.Uniform{Lo: 100, Hi: 1000},
-			Partition: &simnet.Partition{At: 2500, G2: g2(3, 5)},
-			Seed:      77,
-		})
+		r := runOne(t, cluster.Config{
+			Sites: 5, Protocol: core.Protocol{},
+			Schedule: partitioned(2500, 3, 5),
+		}, cluster.SimOptions{Latency: simnet.Uniform{Lo: 100, Hi: 1000}, Seed: 77})
 		return r.Trace.Dump()
 	}
 	a, b := run(), run()
@@ -438,12 +469,26 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// The trace is opt-in: without SimOptions.RecordTrace the backend keeps
+// none, and the run behaves the same.
 func TestDisableTrace(t *testing.T) {
-	r := Run(Options{N: 3, Protocol: core.Protocol{}, DisableTrace: true})
-	if r.Trace.Len() != 0 {
-		t.Fatal("DisableTrace still recorded events")
+	b := cluster.NewSimBackend(cluster.SimOptions{})
+	c, err := cluster.Open(cluster.Config{Sites: 3, Protocol: core.Protocol{}, Backend: b})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !r.Consistent() {
+	defer c.Close()
+	r, err := c.Submit(cluster.Txn{Master: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Trace().Len() != 0 {
+		t.Fatal("trace recorded without RecordTrace")
+	}
+	if !r.Consistent() || !r.Committed() {
 		t.Fatal("run misbehaved without trace")
 	}
 }

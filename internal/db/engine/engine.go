@@ -276,7 +276,7 @@ func (e *Engine) SetPlacement(hosts func(key string) bool) {
 	e.hosts = hosts
 }
 
-// Execute implements harness.Participant: decode the body, take exclusive
+// Execute implements proto.Participant: decode the body, take exclusive
 // locks, resolve updates against the current state, force Begin/Update/
 // Prepared records, and return the vote. Any failure — undecodable body,
 // lock conflict, or guard violation — votes no (unilateral abort) and
@@ -416,7 +416,7 @@ func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool
 	return true
 }
 
-// Commit implements harness.Participant: force the commit record, apply
+// Commit implements proto.Participant: force the commit record, apply
 // the buffered updates, release locks. A decision for a transaction that
 // never prepared here is still logged (durably answerable by recovery
 // inquiries); duplicate decisions are no-ops.
@@ -470,7 +470,7 @@ func (e *Engine) appendDecision(r wal.Record) {
 	e.log.Append(r) //nolint:errcheck // decisions for unknown txns are best-effort
 }
 
-// Abort implements harness.Participant: force the abort record, discard
+// Abort implements proto.Participant: force the abort record, discard
 // buffered updates, release locks.
 func (e *Engine) Abort(tid proto.TxnID) {
 	e.mu.Lock()

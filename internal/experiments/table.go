@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"strings"
 
-	"termproto/internal/harness"
+	"termproto/internal/cluster"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
-	"termproto/internal/simnet"
+	"termproto/internal/trace"
 )
 
 // T is the longest end-to-end delay used by every experiment.
@@ -93,7 +93,39 @@ func tUnits(d sim.Duration) string {
 // tUnitsTime renders a virtual time as a multiple of T.
 func tUnitsTime(tm sim.Time) string { return tUnits(sim.Duration(tm)) }
 
-func g2(ids ...proto.SiteID) map[proto.SiteID]bool { return simnet.G2Set(ids...) }
+// txnRun is one finished single-transaction experiment run.
+type txnRun struct {
+	*cluster.TxnResult
+	// Trace is the execution trace (nil unless SimOptions.RecordTrace).
+	Trace *trace.Recorder
+	// MsgsSent counts every message the run sent.
+	MsgsSent uint64
+}
+
+// runTxn runs one transaction on the deterministic cluster simulator the
+// way the paper states its scenarios: sites 1..cfg.Sites, master 1, the
+// transaction submitted at tick 0 and run to quiescence. Configurations
+// are static, so an error is a bug in the experiment and panics.
+func runTxn(cfg cluster.Config, opts cluster.SimOptions) *txnRun {
+	b := cluster.NewSimBackend(opts)
+	cfg.Backend = b
+	c, err := cluster.Open(cfg)
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(cluster.Txn{Master: 1})
+	if err == nil {
+		err = c.Wait()
+	}
+	if err != nil {
+		panic(err)
+	}
+	return &txnRun{TxnResult: r, Trace: b.Trace(), MsgsSent: b.NetStats().MsgsSent}
+}
+
+// outcome returns site id's decision.
+func (r *txnRun) outcome(id proto.SiteID) proto.Outcome { return r.Sites[id].Outcome }
 
 func boolCell(ok bool) string {
 	if ok {
@@ -103,7 +135,7 @@ func boolCell(ok bool) string {
 }
 
 // verdict summarizes a run for counterexample tables.
-func verdict(r *harness.Result) string {
+func verdict(r *txnRun) string {
 	switch {
 	case !r.Consistent():
 		return "INCONSISTENT"

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
-	"termproto/internal/harness"
 	"termproto/internal/proto"
 	"termproto/internal/scenario"
 	"termproto/internal/sim"
@@ -30,7 +30,8 @@ func E7Fig5Timeouts() *Table {
 		Default: T,
 		Rules:   []simnet.KindRule{{From: 1, To: 2, Kind: proto.MsgXact, D: 1}},
 	}
-	r := harness.Run(harness.Options{N: 4, Protocol: core.Protocol{}, Latency: lat})
+	r := runTxn(cluster.Config{Sites: 4, Protocol: core.Protocol{}},
+		cluster.SimOptions{Latency: lat, RecordTrace: true})
 
 	masterWait := func(send, recv string) sim.Duration {
 		first, _ := r.Trace.FirstTime(func(e trace.Event) bool {
@@ -61,7 +62,7 @@ func E7Fig5Timeouts() *Table {
 
 	committed := true
 	for i := proto.SiteID(1); i <= 4; i++ {
-		if r.Outcome(i) != proto.Commit {
+		if r.outcome(i) != proto.Commit {
 			committed = false
 		}
 	}
@@ -96,10 +97,10 @@ func E8Fig6MasterWindow(cfg Config) *Table {
 			Default: T,
 			Rules:   []simnet.KindRule{{From: 1, To: 3, Kind: proto.MsgPrepare, D: ep}},
 		}
-		r := harness.Run(harness.Options{
-			N: 3, Protocol: core.Protocol{}, Latency: lat,
-			Partition: &simnet.Partition{At: 2*Tt + 1, G2: g2(3)},
-		})
+		r := runTxn(cluster.Config{
+			Sites: 3, Protocol: core.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+1, 3)},
+		}, cluster.SimOptions{Latency: lat, RecordTrace: true})
 		window, ok := scenario.FirstUDPrepareToLastProbe(r.Trace, 1)
 		if !ok || !r.Consistent() || len(r.Blocked()) > 0 {
 			t.Pass = false
@@ -107,10 +108,6 @@ func E8Fig6MasterWindow(cfg Config) *Table {
 		if window > maxWindow {
 			maxWindow = window
 		}
-		firstUD, _ := r.Trace.FirstTime(func(e trace.Event) bool {
-			return e.Kind == trace.Bounce && e.MsgKind == "prepare"
-		})
-		_ = firstUD
 		t.row(fmt.Sprintf("2×%s after send", tUnits(ep)), tUnits(window),
 			boolCell(window <= 5*T), verdict(r))
 		if window > 5*T {
@@ -148,10 +145,10 @@ func E9Fig7SlaveWindow(cfg Config) *Table {
 				{From: 3, To: 1, Kind: proto.MsgAck, D: 1}, // ack slips through B
 			},
 		}
-		r := harness.Run(harness.Options{
-			N: 4, Protocol: core.Protocol{}, Latency: lat,
-			Partition: &simnet.Partition{At: 2*Tt + sim.Time(p) + 2, G2: g2(3, 4)},
-		})
+		r := runTxn(cluster.Config{
+			Sites: 4, Protocol: core.Protocol{},
+			Schedule: cluster.Schedule{cluster.PartitionAt(2*Tt+sim.Time(p)+2, 3, 4)},
+		}, cluster.SimOptions{Latency: lat, RecordTrace: true})
 		wait, entered := scenario.MaxWaitAfter(r.Trace, "wt")
 		if !entered || !r.Consistent() || len(r.Blocked()) > 0 {
 			t.Pass = false
@@ -162,7 +159,7 @@ func E9Fig7SlaveWindow(cfg Config) *Table {
 		if wait > 6*T {
 			t.Pass = false
 		}
-		if r.Outcome(4) != proto.Commit {
+		if r.outcome(4) != proto.Commit {
 			t.Pass = false // the commit must beat the 6T abort
 		}
 		t.row(tUnits(p), tUnits(wait), boolCell(wait <= 6*T), verdict(r))
@@ -188,16 +185,16 @@ func E10Fig8WToC() *Table {
 			{1, 3}: 200, {3, 1}: 300, {3, 4}: 100,
 		},
 	}
-	run := func(p proto.Protocol) *harness.Result {
-		return harness.Run(harness.Options{
-			N: 4, Protocol: p, Latency: lat,
-			Partition: &simnet.Partition{At: 2500, G2: g2(3, 4)},
-		})
+	run := func(p proto.Protocol) *txnRun {
+		return runTxn(cluster.Config{
+			Sites: 4, Protocol: p,
+			Schedule: cluster.Schedule{cluster.PartitionAt(2500, 3, 4)},
+		}, cluster.SimOptions{Latency: lat})
 	}
 	fixed := run(core.Protocol{})
 	broken := run(core.Protocol{DisableWToC: true})
-	t.row("Fig. 8 (with w→c)", fixed.Outcome(3).String(), fixed.Outcome(4).String(), verdict(fixed))
-	t.row("Fig. 3 (without)", broken.Outcome(3).String(), broken.Outcome(4).String(), verdict(broken))
+	t.row("Fig. 8 (with w→c)", fixed.outcome(3).String(), fixed.outcome(4).String(), verdict(fixed))
+	t.row("Fig. 3 (without)", broken.outcome(3).String(), broken.outcome(4).String(), verdict(broken))
 	t.Pass = fixed.Consistent() && len(fixed.Blocked()) == 0 && !broken.Consistent()
 	t.notef("site 4's only commit arrives from its G2 peer while site 4 is still in w")
 	return t
@@ -235,16 +232,18 @@ func E11Fig9CaseBounds(cfg Config) *Table {
 		if len(split) == 0 {
 			split = []proto.SiteID{proto.SiteID(n)}
 		}
-		inG2 := g2(split...)
-		part := &simnet.Partition{At: sim.Time(rng.Int63n(int64(7 * T))), G2: inG2}
+		inG2 := simnet.G2Set(split...)
+		part := cluster.PartitionAt(sim.Time(rng.Int63n(int64(7*T))), split...)
 		if rng.Intn(2) == 0 {
 			part.Heal = part.At + 1 + sim.Time(rng.Int63n(int64(8*T)))
 		}
-		r := harness.Run(harness.Options{
-			N: n, Protocol: core.Protocol{TransientFix: true},
-			Latency:   simnet.Uniform{Lo: sim.Duration(T) / 3, Hi: T},
-			Partition: part,
-			Seed:      rng.Uint64(),
+		r := runTxn(cluster.Config{
+			Sites: n, Protocol: core.Protocol{TransientFix: true},
+			Schedule: cluster.Schedule{part},
+		}, cluster.SimOptions{
+			Latency:     simnet.Uniform{Lo: sim.Duration(T) / 3, Hi: T},
+			Seed:        rng.Uint64(),
+			RecordTrace: true,
 		})
 		c := scenario.Classify(r.Trace, 1)
 		a := cases[c]
@@ -326,9 +325,7 @@ func E12TransientFix() *Table {
 		Title:   "§6 — case 3.2.2.2: transient-partition repair",
 		Columns: []string{"variant", "blocked", "G2 wait after pt", "outcomes", "verdict"},
 	}
-	part := func() *simnet.Partition {
-		return &simnet.Partition{At: 4*Tt + 1, Heal: 7 * Tt, G2: g2(3, 4)}
-	}
+	part := cluster.Schedule{cluster.TransientPartitionAt(4*Tt+1, 7*Tt, 3, 4)}
 	variants := []struct {
 		name string
 		p    proto.Protocol
@@ -337,9 +334,10 @@ func E12TransientFix() *Table {
 		{"§6 fix (5T→commit)", core.Protocol{TransientFix: true}},
 		{"ext: master replies to late probes", core.Protocol{ReplyToLateProbes: true}},
 	}
-	results := make([]*harness.Result, len(variants))
+	results := make([]*txnRun, len(variants))
 	for i, v := range variants {
-		r := harness.Run(harness.Options{N: 4, Protocol: v.p, Partition: part()})
+		r := runTxn(cluster.Config{Sites: 4, Protocol: v.p, Schedule: part},
+			cluster.SimOptions{RecordTrace: true})
 		results[i] = r
 		wait := "—"
 		if w, entered := scenario.MaxWaitAfter(r.Trace, "pt"); entered && w >= 0 {
@@ -348,7 +346,7 @@ func E12TransientFix() *Table {
 			wait = "∞ (wedged)"
 		}
 		outs := fmt.Sprintf("%s/%s/%s/%s",
-			r.Outcome(1), r.Outcome(2), r.Outcome(3), r.Outcome(4))
+			r.outcome(1), r.outcome(2), r.outcome(3), r.outcome(4))
 		t.row(v.name, fmt.Sprintf("%v", r.Blocked()), wait, outs, verdict(r))
 	}
 	orig, fix, ext := results[0], results[1], results[2]

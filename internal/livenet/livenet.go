@@ -14,7 +14,7 @@
 // site crashes and recoveries can be injected while transactions are in
 // flight.
 //
-// The deterministic simulator (internal/simnet + internal/harness) is the
+// The deterministic simulator (internal/cluster's SimBackend) is the
 // tool for measuring the paper's timing bounds; this runtime demonstrates
 // that the identical automaton code terminates correctly under genuine
 // concurrency. internal/cluster's LiveBackend and examples/livedemo drive
@@ -46,9 +46,6 @@ type Config struct {
 	// timeout intervals; actual per-message delays are drawn uniformly
 	// from [T/4, T/2] (see route). Defaults to 10ms.
 	T time.Duration
-	// Votes decides slave votes; nil votes yes everywhere. Per-txn votes
-	// in TxnSpec take precedence.
-	Votes func(site proto.SiteID, payload []byte) bool
 	// Participants optionally attaches a database participant per site;
 	// a site with a participant votes by executing the payload.
 	Participants map[proto.SiteID]Participant
@@ -56,9 +53,6 @@ type Config struct {
 	// provisioned capacity outside the initial membership. SpawnSite
 	// brings a dormant (or retired) site's loop up when it joins.
 	Dormant []proto.SiteID
-	// Payload is the transaction body used by the single-transaction
-	// compatibility API (Start/Wait).
-	Payload []byte
 	// Seed for the delay generator (0 = fixed default).
 	Seed int64
 }
@@ -70,7 +64,8 @@ type TxnSpec struct {
 	Master proto.SiteID
 	// Payload is the transaction body carried in MsgXact.
 	Payload []byte
-	// Votes overrides Config.Votes for this transaction; nil falls back.
+	// Votes decides this transaction's votes at sites without a
+	// participant; nil votes yes.
 	Votes func(site proto.SiteID, payload []byte) bool
 	// Sites is the participant roster; Submit fills it with every site
 	// live at submission when empty.
@@ -306,14 +301,6 @@ func (c *Cluster) StartedAt() time.Time {
 	return c.startedAt
 }
 
-// Start launches the site goroutines and submits the single
-// Config-described transaction (TID 1, master 1) — the original
-// one-transaction API. Use StartSites + Submit for multi-transaction runs.
-func (c *Cluster) Start() {
-	c.StartSites()
-	c.Submit(TxnSpec{TID: 1, Master: 1, Payload: c.cfg.Payload, Votes: c.cfg.Votes})
-}
-
 // Submit registers a transaction and starts its automata on every live
 // site. The zero Master defaults to site 1. Submitting a duplicate TID or
 // submitting to a stopped cluster returns an error.
@@ -441,8 +428,8 @@ func (c *Cluster) Crash(id proto.SiteID) {
 
 // Recover brings a crashed site back: it participates in transactions
 // submitted from now on. Automata it hosted before the crash stay dead —
-// the site rejoins as a fresh participant, the recovery-protocol
-// convention of the harness.
+// the site rejoins as a fresh participant, the same convention as the
+// deterministic simulator.
 func (c *Cluster) Recover(id proto.SiteID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -621,22 +608,11 @@ func (c *Cluster) WaitAll(timeout time.Duration) bool {
 	return true
 }
 
-// Wait blocks until transaction 1 (the Start-submitted transaction) has
-// decided everywhere or the timeout elapses, then stops the cluster and
-// returns the final outcomes plus whether every participating site
-// decided. A slave still in its initial state q never learned of the
-// transaction (its xact bounced at the boundary) and holds no locks, so it
-// does not count as blocked — the same convention as the deterministic
-// harness. Wait is terminal: the cluster cannot be reused.
-func (c *Cluster) Wait(timeout time.Duration) ([]Outcome, bool) {
-	c.WaitTxn(1, timeout)
-	c.Stop() // site goroutines drained: node state reads are now safe
-	st := c.Status(1)
-	return st.Sites, st.Decided
-}
-
-// Status returns the final view of one transaction. Call only after Stop
-// (or Wait): it reads automaton states owned by the site goroutines.
+// Status returns the final view of one transaction. Call only after Stop:
+// it reads automaton states owned by the site goroutines. A slave still in
+// its initial state q never learned of the transaction (its xact bounced
+// at the boundary) and holds no locks, so it does not count against
+// Decided.
 func (c *Cluster) Status(tid proto.TxnID) TxnStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -731,22 +707,6 @@ func (c *Cluster) Stop() {
 			ne.stopTimer()
 		}
 	}
-}
-
-// Consistent reports whether no two decided outcomes differ.
-func Consistent(outs []Outcome) bool {
-	seen := proto.None
-	for _, o := range outs {
-		if o.Outcome == proto.None {
-			continue
-		}
-		if seen == proto.None {
-			seen = o.Outcome
-		} else if seen != o.Outcome {
-			return false
-		}
-	}
-	return true
 }
 
 // route schedules a message: after the forward delay the partition state
@@ -1069,9 +1029,6 @@ func (e *nodeEnv) Execute(payload []byte) bool {
 	if e.spec.Votes != nil {
 		return e.spec.Votes(e.site.id, payload)
 	}
-	if e.site.cluster.cfg.Votes != nil {
-		return e.site.cluster.cfg.Votes(e.site.id, payload)
-	}
 	return true
 }
 
@@ -1097,8 +1054,3 @@ func (e *nodeEnv) Decide(o proto.Outcome) {
 func (e *nodeEnv) Tracef(string, ...any) {}
 
 var _ proto.Env = (*nodeEnv)(nil)
-
-// String renders an outcome row.
-func (o Outcome) String() string {
-	return fmt.Sprintf("site %d: %s (state %s)", o.Site, o.Outcome, o.State)
-}

@@ -14,14 +14,48 @@ import (
 
 const liveT = 5 * time.Millisecond
 
+// submitOne starts c's site loops and submits transaction 1, mastered at
+// site 1 over every site.
+func submitOne(t *testing.T, c *Cluster, votes func(proto.SiteID, []byte) bool) {
+	t.Helper()
+	c.StartSites()
+	if err := c.Submit(TxnSpec{TID: 1, Master: 1, Votes: votes}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// finishOne waits up to timeout for transaction 1 to decide at every
+// site, stops the cluster, and returns the transaction's final view.
+func finishOne(c *Cluster, timeout time.Duration) TxnStatus {
+	c.WaitTxn(1, timeout)
+	c.Stop()
+	return c.Status(1)
+}
+
+// consistent reports whether no two decided outcomes differ.
+func consistent(outs []Outcome) bool {
+	seen := proto.None
+	for _, o := range outs {
+		if o.Outcome == proto.None {
+			continue
+		}
+		if seen == proto.None {
+			seen = o.Outcome
+		} else if seen != o.Outcome {
+			return false
+		}
+	}
+	return true
+}
+
 func TestLiveFailureFreeCommit(t *testing.T) {
 	c := New(Config{N: 4, Protocol: core.Protocol{}, T: liveT})
-	c.Start()
-	outs, all := c.Wait(100 * liveT)
-	if !all {
-		t.Fatalf("not all sites decided: %v", outs)
+	submitOne(t, c, nil)
+	st := finishOne(c, 100*liveT)
+	if !st.Decided {
+		t.Fatalf("not all sites decided: %v", st.Sites)
 	}
-	for _, o := range outs {
+	for _, o := range st.Sites {
 		if o.Outcome != proto.Commit {
 			t.Fatalf("site %d = %v, want commit", o.Site, o.Outcome)
 		}
@@ -29,16 +63,13 @@ func TestLiveFailureFreeCommit(t *testing.T) {
 }
 
 func TestLiveNoVoteAborts(t *testing.T) {
-	c := New(Config{
-		N: 3, Protocol: core.Protocol{}, T: liveT,
-		Votes: func(site proto.SiteID, _ []byte) bool { return site != 3 },
-	})
-	c.Start()
-	outs, all := c.Wait(100 * liveT)
-	if !all {
-		t.Fatalf("not all sites decided: %v", outs)
+	c := New(Config{N: 3, Protocol: core.Protocol{}, T: liveT})
+	submitOne(t, c, func(site proto.SiteID, _ []byte) bool { return site != 3 })
+	st := finishOne(c, 100*liveT)
+	if !st.Decided {
+		t.Fatalf("not all sites decided: %v", st.Sites)
 	}
-	for _, o := range outs {
+	for _, o := range st.Sites {
 		if o.Outcome != proto.Abort {
 			t.Fatalf("site %d = %v, want abort", o.Site, o.Outcome)
 		}
@@ -51,45 +82,45 @@ func TestLivePartitionTerminatesConsistently(t *testing.T) {
 	for _, delay := range []time.Duration{0, liveT, 3 * liveT} {
 		delay := delay
 		c := New(Config{N: 5, Protocol: core.Protocol{TransientFix: true}, T: liveT})
-		c.Start()
+		submitOne(t, c, nil)
 		time.AfterFunc(delay, func() { c.Partition(4, 5) })
-		outs, all := c.Wait(200 * liveT)
-		if !all {
-			t.Fatalf("delay %v: undecided sites: %v", delay, outs)
+		st := finishOne(c, 200*liveT)
+		if !st.Decided {
+			t.Fatalf("delay %v: undecided sites: %v", delay, st.Sites)
 		}
-		if !Consistent(outs) {
-			t.Fatalf("delay %v: INCONSISTENT outcomes: %v", delay, outs)
+		if !consistent(st.Sites) {
+			t.Fatalf("delay %v: INCONSISTENT outcomes: %v", delay, st.Sites)
 		}
 	}
 }
 
 func TestLiveTransientPartitionHeals(t *testing.T) {
 	c := New(Config{N: 4, Protocol: core.Protocol{TransientFix: true}, T: liveT})
-	c.Start()
+	submitOne(t, c, nil)
 	// Let the xact round land before partitioning, so sites 3 and 4 are
 	// participants when the boundary rises.
 	time.AfterFunc(2*liveT, func() { c.Partition(3, 4) })
 	time.AfterFunc(12*liveT, c.Heal)
-	outs, all := c.Wait(300 * liveT)
-	if !all {
-		t.Fatalf("undecided after heal: %v", outs)
+	st := finishOne(c, 300*liveT)
+	if !st.Decided {
+		t.Fatalf("undecided after heal: %v", st.Sites)
 	}
-	if !Consistent(outs) {
-		t.Fatalf("inconsistent after heal: %v", outs)
+	if !consistent(st.Sites) {
+		t.Fatalf("inconsistent after heal: %v", st.Sites)
 	}
 }
 
 func TestLiveTwoPCBlocksUnderPartition(t *testing.T) {
 	// The motivating contrast, live: pure 2PC leaves sites undecided.
 	c := New(Config{N: 3, Protocol: twopc.Protocol{}, T: liveT})
-	c.Start()
+	submitOne(t, c, nil)
 	c.Partition(3)
-	outs, all := c.Wait(50 * liveT)
-	if all {
-		t.Fatalf("2PC decided everywhere under a partition: %v", outs)
+	st := finishOne(c, 50*liveT)
+	if st.Decided {
+		t.Fatalf("2PC decided everywhere under a partition: %v", st.Sites)
 	}
-	if !Consistent(outs) {
-		t.Fatalf("2PC inconsistent: %v", outs)
+	if !consistent(st.Sites) {
+		t.Fatalf("2PC inconsistent: %v", st.Sites)
 	}
 }
 
@@ -199,8 +230,8 @@ func TestLiveAutomataSpawned(t *testing.T) {
 
 func TestLiveStopIdempotent(t *testing.T) {
 	c := New(Config{N: 2, Protocol: core.Protocol{}, T: liveT})
-	c.Start()
-	c.Wait(100 * liveT)
+	submitOne(t, c, nil)
+	finishOne(c, 100*liveT)
 	c.Stop()
 	c.Stop()
 }

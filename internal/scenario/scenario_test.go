@@ -3,8 +3,8 @@ package scenario
 import (
 	"testing"
 
+	"termproto/internal/cluster"
 	"termproto/internal/core"
-	"termproto/internal/harness"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
@@ -13,7 +13,35 @@ import (
 
 const T = sim.DefaultT
 
-func g2(ids ...proto.SiteID) map[proto.SiteID]bool { return simnet.G2Set(ids...) }
+// result is one finished single-transaction run.
+type result struct {
+	*cluster.TxnResult
+	Trace *trace.Recorder
+}
+
+// run submits one transaction mastered at site 1 at tick 0 to a 4-site
+// deterministic cluster simulator with one partition event and the given
+// latency (nil: the adversarial Fixed{T}), and runs it to quiescence,
+// recording the trace.
+func run(t *testing.T, p proto.Protocol, part cluster.Event, lat simnet.Latency) *result {
+	t.Helper()
+	b := cluster.NewSimBackend(cluster.SimOptions{Latency: lat, RecordTrace: true})
+	c, err := cluster.Open(cluster.Config{
+		Sites: 4, Protocol: p, Backend: b, Schedule: cluster.Schedule{part},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(cluster.Txn{Master: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return &result{TxnResult: r, Trace: b.Trace()}
+}
 
 // --- synthetic classifier unit tests ---
 
@@ -145,12 +173,10 @@ func TestWaitsAfter(t *testing.T) {
 // already decided. The original protocol wedges the G2 slaves forever;
 // the §6 transient fix commits them after 5T of silence.
 func TestCase3222TransientFix(t *testing.T) {
-	part := &simnet.Partition{At: 4*sim.Time(T) + 1, Heal: 7 * sim.Time(T), G2: g2(3, 4)}
+	part := cluster.TransientPartitionAt(4*sim.Time(T)+1, 7*sim.Time(T), 3, 4)
 
 	// Original protocol: G2 slaves wedge in pt.
-	orig := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{}, Partition: part,
-	})
+	orig := run(t, core.Protocol{}, part, nil)
 	if got := Classify(orig.Trace, 1); got != Case3222 {
 		t.Fatalf("classified %s, want 3.2.2.2\n%s", got, orig.Trace.Dump())
 	}
@@ -158,21 +184,19 @@ func TestCase3222TransientFix(t *testing.T) {
 	if len(blocked) != 2 || blocked[0] != 3 || blocked[1] != 4 {
 		t.Fatalf("original protocol blocked = %v, want [3 4]", blocked)
 	}
-	if orig.Outcome(1) != proto.Commit || orig.Outcome(2) != proto.Commit {
+	if orig.Sites[1].Outcome != proto.Commit || orig.Sites[2].Outcome != proto.Commit {
 		t.Fatal("G1 should have committed")
 	}
 
 	// Transient fix: everyone commits; the G2 slaves wait exactly 5T after
 	// their p-timeout.
-	fixed := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{TransientFix: true}, Partition: part,
-	})
+	fixed := run(t, core.Protocol{TransientFix: true}, part, nil)
 	if !fixed.Consistent() || len(fixed.Blocked()) != 0 {
 		t.Fatalf("transient fix: consistent=%v blocked=%v", fixed.Consistent(), fixed.Blocked())
 	}
 	for id := proto.SiteID(1); id <= 4; id++ {
-		if fixed.Outcome(id) != proto.Commit {
-			t.Fatalf("site %d = %v, want commit", id, fixed.Outcome(id))
+		if fixed.Sites[id].Outcome != proto.Commit {
+			t.Fatalf("site %d = %v, want commit", id, fixed.Sites[id].Outcome)
 		}
 	}
 	max, entered := MaxWaitAfter(fixed.Trace, "pt")
@@ -188,10 +212,8 @@ func TestCase3222TransientFix(t *testing.T) {
 // side: the probe reaching the decided master is answered, so the slave
 // terminates well before the 5T silence bound.
 func TestCase3222LateProbeReplyExtension(t *testing.T) {
-	part := &simnet.Partition{At: 4*sim.Time(T) + 1, Heal: 7 * sim.Time(T), G2: g2(3, 4)}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{ReplyToLateProbes: true}, Partition: part,
-	})
+	part := cluster.TransientPartitionAt(4*sim.Time(T)+1, 7*sim.Time(T), 3, 4)
+	r := run(t, core.Protocol{ReplyToLateProbes: true}, part, nil)
 	if !r.Consistent() || len(r.Blocked()) != 0 {
 		t.Fatalf("extension: consistent=%v blocked=%v", r.Consistent(), r.Blocked())
 	}
@@ -216,10 +238,7 @@ func TestCase221Deterministic(t *testing.T) {
 			{3, 4}: 1000,
 		},
 	}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{}, Latency: lat,
-		Partition: &simnet.Partition{At: 2800, G2: g2(3, 4)},
-	})
+	r := run(t, core.Protocol{}, cluster.PartitionAt(2800, 3, 4), lat)
 	if got := Classify(r.Trace, 1); got != Case221 {
 		t.Fatalf("classified %s, want 2.2.1\n%s", got, r.Trace.Dump())
 	}
@@ -227,8 +246,8 @@ func TestCase221Deterministic(t *testing.T) {
 		t.Fatalf("case 2.2.1: consistent=%v blocked=%v", r.Consistent(), r.Blocked())
 	}
 	for id := proto.SiteID(1); id <= 4; id++ {
-		if r.Outcome(id) != proto.Commit {
-			t.Fatalf("site %d = %v, want commit (prepare crossed B)", id, r.Outcome(id))
+		if r.Sites[id].Outcome != proto.Commit {
+			t.Fatalf("site %d = %v, want commit (prepare crossed B)", id, r.Sites[id].Outcome)
 		}
 	}
 	if max, entered := MaxWaitAfter(r.Trace, "pt"); entered && max > 4*T {
@@ -246,10 +265,7 @@ func TestCase222Deterministic(t *testing.T) {
 			{1, 3}: 500, // prepare to 3 crosses at 2500 < onset
 		},
 	}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{}, Latency: lat,
-		Partition: &simnet.Partition{At: 2700, Heal: 3400, G2: g2(3, 4)},
-	})
+	r := run(t, core.Protocol{}, cluster.TransientPartitionAt(2700, 3400, 3, 4), lat)
 	if got := Classify(r.Trace, 1); got != Case222 {
 		t.Fatalf("classified %s, want 2.2.2\n%s", got, r.Trace.Dump())
 	}
@@ -266,10 +282,7 @@ func TestCase222Deterministic(t *testing.T) {
 func TestTransientSweep(t *testing.T) {
 	for onset := sim.Time(0); onset <= 6*sim.Time(T); onset += sim.Time(T) / 2 {
 		for heal := onset + 1; heal <= onset+8*sim.Time(T); heal += sim.Time(T) {
-			r := harness.Run(harness.Options{
-				N: 4, Protocol: core.Protocol{TransientFix: true},
-				Partition: &simnet.Partition{At: onset, Heal: heal, G2: g2(3, 4)},
-			})
+			r := run(t, core.Protocol{TransientFix: true}, cluster.TransientPartitionAt(onset, heal, 3, 4), nil)
 			if !r.Consistent() {
 				t.Fatalf("onset %d heal %d: INCONSISTENT\n%s", onset, heal, r.Trace.Dump())
 			}
@@ -286,10 +299,7 @@ func TestTransientSweep(t *testing.T) {
 func TestOriginalProtocolBlocksOnlyInCase3222(t *testing.T) {
 	for onset := sim.Time(0); onset <= 6*sim.Time(T); onset += sim.Time(T) / 4 {
 		for _, healDelta := range []sim.Time{1, sim.Time(T), 3 * sim.Time(T), 6 * sim.Time(T)} {
-			r := harness.Run(harness.Options{
-				N: 4, Protocol: core.Protocol{},
-				Partition: &simnet.Partition{At: onset, Heal: onset + healDelta, G2: g2(3, 4)},
-			})
+			r := run(t, core.Protocol{}, cluster.TransientPartitionAt(onset, onset+healDelta, 3, 4), nil)
 			if !r.Consistent() {
 				t.Fatalf("onset %d heal +%d: INCONSISTENT\n%s", onset, healDelta, r.Trace.Dump())
 			}
@@ -310,10 +320,7 @@ func TestFig6WindowMeasure(t *testing.T) {
 		Default: T,
 		Pairs:   map[[2]proto.SiteID]sim.Duration{{1, 3}: 500},
 	}
-	r := harness.Run(harness.Options{
-		N: 4, Protocol: core.Protocol{}, Latency: lat,
-		Partition: &simnet.Partition{At: 2700, Heal: 3400, G2: g2(3, 4)},
-	})
+	r := run(t, core.Protocol{}, cluster.TransientPartitionAt(2700, 3400, 3, 4), lat)
 	span, ok := FirstUDPrepareToLastProbe(r.Trace, 1)
 	if !ok {
 		t.Fatal("no UD(prepare) in a case 2.2.2 run")

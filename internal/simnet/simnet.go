@@ -338,7 +338,7 @@ func (n *Network) Stats() (sent, delivered, bounced, dropped uint64) {
 
 // CrashAt marks a site as failed from time t onward: messages addressed to
 // it after t are lost without an undeliverable return (a site failure is
-// indistinguishable from message loss, paper §7), and the harness must stop
+// indistinguishable from message loss, paper §7), and the runtime must stop
 // driving its automata. A later RecoverAt ends the failure interval.
 func (n *Network) CrashAt(id proto.SiteID, t sim.Time) {
 	n.crashes[id] = append(n.crashes[id], crashSpan{from: t, until: -1})

@@ -48,9 +48,10 @@
 // 6T) are exact multiples. The live backend maps 1000 ticks onto its
 // configured wall-clock T.
 //
-// For one-off single-transaction experiments the deterministic Run
-// harness remains available (see Options), and the E1–E15 experiment
-// suite reproduces the paper's artifacts via Experiments.
+// A single-transaction experiment is the same surface: one Submit at
+// tick 0 mastered at site 1, then Wait, with the schedule scripting the
+// partition and SimOptions the latency model. The E1–E15 experiment suite
+// reproduces the paper's artifacts that way via Experiments.
 package termproto
 
 import (
@@ -60,8 +61,6 @@ import (
 	"termproto/internal/db/wal"
 	"termproto/internal/experiments"
 	"termproto/internal/fsa"
-	"termproto/internal/harness"
-	"termproto/internal/livenet"
 	"termproto/internal/obs"
 	"termproto/internal/placement"
 	"termproto/internal/proto"
@@ -76,7 +75,6 @@ import (
 	"termproto/internal/scenario"
 	"termproto/internal/sim"
 	"termproto/internal/simnet"
-	"termproto/internal/workload"
 )
 
 // Core identifiers and protocol substrate.
@@ -119,16 +117,10 @@ const T = sim.DefaultT
 
 // Simulation and scenario types.
 type (
-	// Options configures a deterministic single-transaction run.
-	Options = harness.Options
-	// Result is a finished run: outcomes, blocking, trace, counters.
-	Result = harness.Result
 	// Voter scripts per-site votes.
-	Voter = harness.Voter
+	Voter = proto.Voter
 	// Participant is the database-side hook (engine.Engine implements it).
-	Participant = harness.Participant
-	// Partition is a simple network partition (G2, onset, optional heal).
-	Partition = simnet.Partition
+	Participant = proto.Participant
 	// Latency produces per-message delays.
 	Latency = simnet.Latency
 	// Fixed is constant latency; Uniform draws from a range; PerPair and
@@ -255,26 +247,11 @@ var (
 	MasterPrimary    = cluster.MasterPrimary
 )
 
-// Run executes one transaction deterministically and returns the result.
-//
-// Deprecated: Run remains for single-transaction timing experiments; new
-// code should Open a Cluster, which multiplexes concurrent transactions
-// and scripts faults on either backend.
-func Run(opts Options) *Result { return harness.Run(opts) }
-
-// G2 builds a partition group from site IDs.
-func G2(ids ...SiteID) map[SiteID]bool { return simnet.G2Set(ids...) }
-
 // AllYes votes yes at every site; NoAt votes no at the given sites.
 var (
-	AllYes = harness.AllYes
-	NoAt   = harness.NoAt
+	AllYes = proto.AllYes
+	NoAt   = proto.NoAt
 )
-
-// Classify assigns a completed run to its Section 6 case.
-func Classify(r *Result, master SiteID) Case {
-	return scenario.Classify(r.Trace, int(master))
-}
 
 // ClassifyTrace assigns a sim-backend cluster run to its Section 6 case.
 // The backend must have been built with SimOptions.RecordTrace.
@@ -408,30 +385,13 @@ func RecoverEngine(name string, store wal.Store) (*Engine, []uint64, error) {
 	return engine.Recover(name, store)
 }
 
-// EncodeOps serializes a transaction body for Options.Payload.
+// EncodeOps serializes a transaction body for Txn.Payload.
 func EncodeOps(ops []Op) []byte { return engine.EncodeOps(ops) }
 
 // EncodeInt / DecodeInt convert stored integer values.
 var (
 	EncodeInt = engine.EncodeInt
 	DecodeInt = engine.DecodeInt
-)
-
-// --- live goroutine runtime ---
-
-type (
-	// LiveConfig parameterizes a real-time goroutine cluster.
-	LiveConfig = livenet.Config
-	// LiveCluster is a running set of live sites.
-	LiveCluster = livenet.Cluster
-	// LiveOutcome is one live site's result.
-	LiveOutcome = livenet.Outcome
-)
-
-// NewLive builds a live cluster; LiveConsistent checks its outcomes.
-var (
-	NewLive        = livenet.New
-	LiveConsistent = livenet.Consistent
 )
 
 // --- experiments ---
@@ -445,24 +405,3 @@ type (
 
 // Experiments runs the full E1–E15 suite reproducing the paper.
 func Experiments(cfg ExperimentConfig) []*ExperimentTable { return experiments.All(cfg) }
-
-// --- workloads ---
-
-type (
-	// WorkloadConfig parameterizes a multi-transaction banking workload
-	// over replicated engines.
-	WorkloadConfig = workload.Config
-	// WorkloadStats summarizes a workload run.
-	WorkloadStats = workload.Stats
-)
-
-// RunWorkload executes transfer transactions through a commit protocol on
-// one shared cluster timeline, optionally injecting partitions, and
-// returns statistics plus the per-site engines. WorkloadConfig.Concurrency
-// keeps several transfers in flight at once.
-//
-// Deprecated: RunWorkload remains as a convenience; it is a thin wrapper
-// over the Cluster API, which new code should use directly.
-func RunWorkload(cfg WorkloadConfig) (WorkloadStats, map[SiteID]*Engine) {
-	return workload.Run(cfg)
-}

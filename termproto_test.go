@@ -10,13 +10,34 @@ import (
 // The facade is the supported public surface; these tests exercise it the
 // way the examples and a downstream user would.
 
+// runOne runs one transaction the way the paper states its scenarios:
+// submitted at tick 0, mastered at site 1 over every site, run to
+// quiescence on cfg's backend (the simulator when unset).
+func runOne(tb testing.TB, cfg termproto.ClusterConfig) *termproto.TxnResult {
+	tb.Helper()
+	c, err := termproto.Open(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(termproto.Txn{Master: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func TestFacadeQuickstart(t *testing.T) {
-	r := termproto.Run(termproto.Options{
-		N:        4,
+	sb := termproto.NewSimBackend(termproto.SimOptions{RecordTrace: true})
+	r := runOne(t, termproto.ClusterConfig{
+		Sites:    4,
 		Protocol: termproto.Termination(),
-		Partition: &termproto.Partition{
-			At: termproto.Time(2.5 * float64(termproto.T)),
-			G2: termproto.G2(3, 4),
+		Backend:  sb,
+		Schedule: termproto.Schedule{
+			termproto.PartitionAt(termproto.Time(2.5*float64(termproto.T)), 3, 4),
 		},
 	})
 	if !r.Consistent() {
@@ -25,7 +46,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if len(r.Blocked()) != 0 {
 		t.Fatalf("blocked: %v", r.Blocked())
 	}
-	if c := termproto.Classify(r, 1); c != "1" {
+	if c := termproto.ClassifyTrace(sb, 1); c != "1" {
 		t.Fatalf("case = %s, want 1", c)
 	}
 }
@@ -38,18 +59,18 @@ func TestFacadeProtocols(t *testing.T) {
 		termproto.Termination(), termproto.TerminationTransient(),
 		termproto.FourPCTermination(),
 	} {
-		r := termproto.Run(termproto.Options{N: 3, Protocol: p})
-		if got := r.Outcome(1); got != termproto.Commit {
+		r := runOne(t, termproto.ClusterConfig{Sites: 3, Protocol: p})
+		if got := r.Sites[1].Outcome; got != termproto.Commit {
 			t.Errorf("%s failure-free: master = %v", p.Name(), got)
 		}
 	}
 }
 
 func TestFacadeVoters(t *testing.T) {
-	r := termproto.Run(termproto.Options{
-		N: 3, Protocol: termproto.Termination(), Votes: termproto.NoAt(2),
+	r := runOne(t, termproto.ClusterConfig{
+		Sites: 3, Protocol: termproto.Termination(), Votes: termproto.NoAt(2),
 	})
-	if r.Outcome(1) != termproto.Abort {
+	if r.Sites[1].Outcome != termproto.Abort {
 		t.Fatal("NoAt voter ignored")
 	}
 }
@@ -75,14 +96,24 @@ func TestFacadeEngine(t *testing.T) {
 		o.PutInt("k", 40)
 		parts[termproto.SiteID(i)] = o
 	}
-	r := termproto.Run(termproto.Options{
-		N: 3, Protocol: termproto.Termination(), Participants: parts,
-		Payload: termproto.EncodeOps([]termproto.Op{
-			{Kind: termproto.OpAdd, Key: "k", Delta: 2},
-		}),
+	c, err := termproto.Open(termproto.ClusterConfig{
+		Sites: 3, Protocol: termproto.Termination(), Participants: parts,
 	})
-	if r.Outcome(1) != termproto.Commit || e.GetInt("k") != 42 {
-		t.Fatalf("engine integration: outcome=%v k=%d", r.Outcome(1), e.GetInt("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Submit(termproto.Txn{Payload: termproto.EncodeOps([]termproto.Op{
+		{Kind: termproto.OpAdd, Key: "k", Delta: 2},
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Outcome() != termproto.Commit || e.GetInt("k") != 42 {
+		t.Fatalf("engine integration: outcome=%v k=%d", r.Outcome(), e.GetInt("k"))
 	}
 
 	// Recovery through the facade.
@@ -109,17 +140,20 @@ func TestFacadeExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// ExampleRun demonstrates the minimal API: a partitioned transaction that
-// still terminates consistently at every site.
-func ExampleRun() {
-	r := termproto.Run(termproto.Options{
-		N:        4,
+// ExampleOpen_partitioned demonstrates the minimal single-transaction
+// use: a partitioned transaction that still terminates consistently at
+// every site.
+func ExampleOpen_partitioned() {
+	c, _ := termproto.Open(termproto.ClusterConfig{
+		Sites:    4,
 		Protocol: termproto.Termination(),
-		Partition: &termproto.Partition{
-			At: 2500, // ticks; T = 1000
-			G2: termproto.G2(3, 4),
+		Schedule: termproto.Schedule{
+			termproto.PartitionAt(2500, 3, 4), // ticks; T = 1000
 		},
 	})
+	defer c.Close()
+	r, _ := c.Submit(termproto.Txn{Master: 1})
+	c.Wait()
 	fmt.Println("atomic:", r.Consistent())
 	fmt.Println("blocked:", len(r.Blocked()))
 	// Output:
@@ -127,17 +161,49 @@ func ExampleRun() {
 	// blocked: 0
 }
 
+// A banking workload through the facade: transfers over replicated
+// engines, a partition rising and healing every few transactions, every
+// replica identical at the end.
 func TestFacadeWorkload(t *testing.T) {
-	st, engines := termproto.RunWorkload(termproto.WorkloadConfig{
-		Sites: 3, Protocol: termproto.TerminationTransient(),
-		Accounts: 3, InitialBalance: 1000, Txns: 12,
-		PartitionEvery: 4, Seed: 5,
-	})
-	if st.Inconsistent != 0 || st.Undecided != 0 || !st.Replicated {
-		t.Fatalf("workload through facade: %+v", st)
+	const sites, accounts = 3, 3
+	parts := make(map[termproto.SiteID]termproto.Participant, sites)
+	for i := 1; i <= sites; i++ {
+		e := termproto.NewEngine(fmt.Sprintf("s%d", i), &termproto.MemStore{})
+		for a := 0; a < accounts; a++ {
+			e.PutInt(fmt.Sprintf("acct/%d", a), 1000)
+		}
+		parts[termproto.SiteID(i)] = e
 	}
-	if len(engines) != 3 {
-		t.Fatalf("engines = %d", len(engines))
+	c, err := termproto.Open(termproto.ClusterConfig{
+		Sites: sites, Protocol: termproto.TerminationTransient(), Participants: parts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 12; i++ {
+		if i%4 == 3 {
+			start := c.Now()
+			if err := c.Inject(termproto.TransientPartitionAt(start+2500, start+9000, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		from, to := i%accounts, (i+1)%accounts
+		if _, err := c.Submit(termproto.Txn{Payload: termproto.EncodeOps([]termproto.Op{
+			{Kind: termproto.OpAdd, Key: fmt.Sprintf("acct/%d", from), Delta: -10},
+			{Kind: termproto.OpAdd, Key: fmt.Sprintf("acct/%d", to), Delta: 10},
+		})}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Termination(); err != nil {
+		t.Fatalf("workload through facade: %v", err)
+	}
+	if st := c.Stats(); st.Submitted != 12 || st.Inconsistent != 0 || st.Blocked != 0 {
+		t.Fatalf("workload through facade: %v", st)
 	}
 }
 
