@@ -212,7 +212,14 @@ func (e *Engine) SetMetrics(r *obs.Registry, shardOf func(key string) int) {
 	e.obsDB = obs.NewDB(r)
 	e.shardOf = shardOf
 	e.log.SetMetrics(r)
-	if r == nil {
+	e.observeLockFailures()
+}
+
+// observeLockFailures points the lock manager's fail observer at the
+// engine's lock-failure counters, or clears it without metrics. Called
+// with e.mu held, whenever either side is replaced.
+func (e *Engine) observeLockFailures() {
+	if e.obsDB == nil {
 		e.locks.SetFailObserver(nil)
 		return
 	}
@@ -730,6 +737,7 @@ func (e *Engine) RecoverInPlace() (RecoveryInfo, error) {
 	}
 	e.tree = &btree.Tree{}
 	e.locks = lock.New()
+	e.observeLockFailures()
 	e.pending = make(map[uint64]*pendingTxn)
 	e.decided = make(map[uint64]proto.Outcome)
 

@@ -4,8 +4,34 @@ import (
 	"testing"
 
 	"termproto/internal/db/wal"
+	"termproto/internal/obs"
 	"termproto/internal/proto"
 )
+
+// Metrics wired before a restart keep counting after it: RecoverInPlace
+// rebuilds the lock manager, and the lock-failure observer must follow,
+// or a daemon (which recovers at startup, after SetMetrics) reports no
+// lock failures at all.
+func TestLockFailuresCountedAfterRecoverInPlace(t *testing.T) {
+	e := New("s", &wal.MemStore{})
+	e.PutInt("x", 5)
+	reg := obs.New()
+	e.SetMetrics(reg, nil)
+	add := EncodeOps([]Op{{Kind: OpAdd, Key: "x", Delta: 1}})
+	if !e.Execute(10, add) {
+		t.Fatal("txn 10 should prepare")
+	}
+	if _, err := e.RecoverInPlace(); err != nil {
+		t.Fatal(err)
+	}
+	// Txn 10 came back in doubt with its lock re-taken: 11 conflicts.
+	if e.Execute(11, add) {
+		t.Fatal("conflicting txn prepared against a recovered in-doubt lock")
+	}
+	if got := reg.Snapshot().Total(obs.MLockFailures); got != 1 {
+		t.Fatalf("%s = %d after a conflict, want 1", obs.MLockFailures, got)
+	}
+}
 
 func TestOutcomeTracksDecisions(t *testing.T) {
 	e := New("s", &wal.MemStore{})

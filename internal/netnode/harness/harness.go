@@ -2,7 +2,7 @@
 // the daemon binary once, spawns one OS process per site with its own
 // workspace directory and log file, waits for every node to report
 // healthy, and then injects faults the way deployments experience them —
-// SIGKILL for a site crash, severed TCP links for a partition, a fresh
+// SIGKILL for a site crash, blocked TCP links for a partition, a fresh
 // process over the surviving WAL directory for recovery. Tests and the
 // cluster NetBackend drive clusters through it.
 package harness
@@ -305,10 +305,11 @@ func (l *Localnet) ClearData(id proto.SiteID) error {
 	return netnode.ClearWorkspace(l.nodeDir(id))
 }
 
-// Partition severs every TCP link between group g2 and the rest of the
+// Partition blocks every TCP link between group g2 and the rest of the
 // localnet, both directions, by posting symmetric blocklists to every
-// node. Messages in flight on severed links bounce back Undeliverable,
-// matching the simulator's optimistic partition model.
+// node. Messages in flight across the boundary bounce back Undeliverable,
+// even while the blocklists are still being posted, matching the
+// simulator's optimistic partition model.
 func (l *Localnet) Partition(g2 ...proto.SiteID) error {
 	inG2 := make(map[proto.SiteID]bool, len(g2))
 	for _, id := range g2 {
@@ -346,7 +347,7 @@ func (l *Localnet) Heal() error {
 
 func (l *Localnet) setBlocked(id proto.SiteID, blocked []proto.SiteID) error {
 	if !l.alive(id) {
-		return nil // a dead site has no links to sever
+		return nil // a dead site has no links to block
 	}
 	return l.Client(id).Partition(blocked)
 }

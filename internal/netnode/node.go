@@ -435,7 +435,8 @@ func (n *Node) Submit(tid proto.TxnID, master proto.SiteID, sites []proto.SiteID
 	return nil
 }
 
-// SetBlocked replaces the partition blocklist (severing live links).
+// SetBlocked replaces the partition blocklist: messages across a blocked
+// link return to their sender undeliverable.
 func (n *Node) SetBlocked(peers []proto.SiteID) { n.tr.SetBlocked(peers) }
 
 // Counters returns the transport's cumulative message counters.

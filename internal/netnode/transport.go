@@ -1,7 +1,6 @@
 package netnode
 
 import (
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -28,10 +27,17 @@ import (
 //     is dropped without a return, because a site failure must be
 //     indistinguishable from message loss (paper §7).
 //
-// The blocklist severs, not just filters: setting it closes live
-// connections to and from the blocked peers, and inbound connections
-// from blocked peers are refused at the hello, so a partition is a real
-// loss of connectivity rather than a polite agreement.
+// Both ends of a link enforce the boundary, because the blocklists of a
+// partition reach the sites one at a time. A sender that blocks the
+// receiver turns the message around before writing it. A receiver that
+// blocks the sender turns back every frame that still arrives — one the
+// sender wrote before its own blocklist changed — by writing it back over
+// the same connection, marked undeliverable (wire flag bit0), after
+// another link delay; the sender's watch goroutine delivers that copy as
+// the bounce. So every message in flight across the boundary returns to
+// its sender, as the optimistic model requires, and none vanishes. Links
+// stay open across blocklist changes, and a hello from a blocked peer is
+// accepted, so a returned copy always has a way back.
 type transport struct {
 	self    proto.SiteID
 	delayT  time.Duration
@@ -155,7 +161,7 @@ func (t *transport) acceptLoop() {
 }
 
 // serveConn runs one inbound peer connection: hello, then frames until
-// error, close, or severing.
+// error or close. Frames from a blocked peer are returned, not delivered.
 func (t *transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -165,9 +171,9 @@ func (t *transport) serveConn(conn net.Conn) {
 		return
 	}
 	t.mu.Lock()
-	if t.closed || t.blocked[peer] {
+	if t.closed {
 		t.mu.Unlock()
-		return // refused: the link is severed
+		return
 	}
 	t.inbound[conn] = peer
 	t.mu.Unlock()
@@ -180,6 +186,7 @@ func (t *transport) serveConn(conn net.Conn) {
 	// copies the payload out, so the receive loop itself is allocation-free
 	// once the buffer has grown to the connection's working frame size.
 	var scratch []byte
+	var wmu sync.Mutex // serializes returned frames on conn
 	for {
 		var body []byte
 		var err error
@@ -191,18 +198,39 @@ func (t *transport) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		t.mu.Lock()
-		drop := t.closed || t.blocked[peer] || t.blocked[m.From]
-		t.mu.Unlock()
-		if drop {
-			return // severed while the frame was in flight
-		}
-		t.delivered.Add(1)
 		t.obsFramesRecv.Inc()
 		t.obsBytesRecv.Add(uint64(len(body)) + 4)
+		t.mu.Lock()
+		closed := t.closed
+		crossing := t.blocked[peer] || t.blocked[m.From]
+		t.mu.Unlock()
+		if closed {
+			return
+		}
+		if crossing {
+			t.turnBack(conn, &wmu, m)
+			continue
+		}
+		t.delivered.Add(1)
 		t.wireEvent(trace.Deliver, int(t.self), m, "")
 		t.deliver(m)
 	}
+}
+
+// turnBack returns a frame that arrived across the boundary to its sender:
+// after one link delay, the copy marked undeliverable goes back over the
+// connection it came on. A sender that has died meanwhile gets nothing,
+// like any message to a dead site.
+func (t *transport) turnBack(conn net.Conn, wmu *sync.Mutex, m proto.Msg) {
+	ud := m
+	ud.Undeliverable = true
+	time.AfterFunc(t.delay(), func() {
+		wmu.Lock()
+		defer wmu.Unlock()
+		if WriteMsg(conn, ud) == nil {
+			t.countSent(ud)
+		}
+	})
 }
 
 // delay draws one link delay from [T/4, T/2).
@@ -228,18 +256,9 @@ func (t *transport) Send(m proto.Msg) {
 			return
 		}
 		if crossing {
-			t.bounced.Add(1)
 			ud := m
 			ud.Undeliverable = true
-			time.AfterFunc(d, func() {
-				t.mu.Lock()
-				closed := t.closed
-				t.mu.Unlock()
-				if !closed {
-					t.wireEvent(trace.Bounce, int(t.self), m, "")
-					t.deliver(ud)
-				}
-			})
+			time.AfterFunc(d, func() { t.bounce(ud) })
 			return
 		}
 		if err := t.write(m); err != nil {
@@ -247,6 +266,19 @@ func (t *transport) Send(m proto.Msg) {
 			t.wireEvent(trace.Drop, int(m.To), m, "dead peer")
 		}
 	})
+}
+
+// bounce delivers the undeliverable copy of a message this site sent.
+func (t *transport) bounce(ud proto.Msg) {
+	t.mu.Lock()
+	closed := t.closed
+	t.mu.Unlock()
+	if closed {
+		return
+	}
+	t.bounced.Add(1)
+	t.wireEvent(trace.Bounce, int(t.self), ud, "")
+	t.deliver(ud)
 }
 
 // write puts one message on the outbound link to m.To, dialing if needed.
@@ -324,18 +356,34 @@ func (t *transport) redial(oc *outConn, addr string) error {
 	return nil
 }
 
-// watch reaps an outbound connection the moment the peer closes it. The
-// receiving side never sends data on this direction of the link, so a
-// returning read means the connection is dead — the peer was killed,
-// restarted, or severed us. Clearing the cache makes the next write
-// redial instead of burying the message in a half-closed socket; a
-// restarted peer must be reachable for inquiry replies without waiting
-// for a write error to surface.
+// watch reads the frames a peer returns on an outbound connection — the
+// undeliverable copies of messages that reached it across the boundary —
+// and delivers each as a bounce. It also reaps the connection the moment
+// the peer closes it: a failed read, or anything but a returned copy,
+// means the connection is dead — the peer was killed or restarted.
+// Clearing the cache makes the next write redial instead of burying the
+// message in a half-closed socket; a restarted peer must be reachable for
+// inquiry replies without waiting for a write error to surface.
 func (t *transport) watch(oc *outConn, conn net.Conn) {
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		io.Copy(io.Discard, conn) //nolint:errcheck // any return means dead
+		var scratch []byte
+		for {
+			var body []byte
+			var err error
+			body, scratch, err = ReadFrameInto(conn, scratch)
+			if err != nil {
+				break
+			}
+			ud, err := DecodeMsg(body)
+			if err != nil || !ud.Undeliverable {
+				break
+			}
+			t.obsFramesRecv.Inc()
+			t.obsBytesRecv.Add(uint64(len(body)) + 4)
+			t.bounce(ud)
+		}
 		conn.Close()
 		oc.mu.Lock()
 		if oc.conn == conn {
@@ -345,41 +393,18 @@ func (t *transport) watch(oc *outConn, conn net.Conn) {
 	}()
 }
 
-// SetBlocked replaces the blocklist and severs every live connection to
-// or from a now-blocked peer.
+// SetBlocked replaces the blocklist. Live connections stay open: frames
+// crossing a blocked link are turned back, not cut off.
 func (t *transport) SetBlocked(peers []proto.SiteID) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.blocked = make(map[proto.SiteID]bool, len(peers))
 	for _, id := range peers {
 		t.blocked[id] = true
 	}
-	var severOut []*outConn
-	for id, oc := range t.out {
-		if t.blocked[id] {
-			severOut = append(severOut, oc)
-		}
-	}
-	var severIn []net.Conn
-	for conn, id := range t.inbound {
-		if t.blocked[id] {
-			severIn = append(severIn, conn)
-		}
-	}
-	t.mu.Unlock()
-	for _, oc := range severOut {
-		oc.mu.Lock()
-		if oc.conn != nil {
-			oc.conn.Close()
-			oc.conn = nil
-		}
-		oc.mu.Unlock()
-	}
-	for _, conn := range severIn {
-		conn.Close()
-	}
 }
 
-// Blocked reports whether the link to peer is currently severed.
+// Blocked reports whether the link to peer is currently blocked.
 func (t *transport) Blocked(peer proto.SiteID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
