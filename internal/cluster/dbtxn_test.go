@@ -27,25 +27,13 @@ func acctAdd(amount int64) []byte {
 	return engine.EncodeOps([]engine.Op{{Kind: engine.OpAdd, Key: "acct", Delta: amount}})
 }
 
-// runDB runs transaction tid with the given body at site-1 mastership on
+// runDB runs transaction tid with the given body, mastered at site 1, on
 // a fresh simulated cluster over the caller's engines. Sequential runs
 // over the same engines keep their TIDs distinct, as durable engines
 // require.
-func runDB(t *testing.T, cfg cluster.Config, tid proto.TxnID, payload []byte) *cluster.TxnResult {
+func runDB(t *testing.T, cfg cluster.Config, tid proto.TxnID, payload []byte) *oneRun {
 	t.Helper()
-	c, err := cluster.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	r, err := c.Submit(cluster.Txn{ID: tid, Master: 1, Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return runTxn(t, cfg, cluster.SimOptions{}, cluster.Txn{ID: tid, Master: 1, Payload: payload})
 }
 
 func TestDBCommitAppliesEverywhere(t *testing.T) {

@@ -44,8 +44,15 @@ func (r *oneRun) anyCommitted() bool {
 }
 
 // runOne submits one transaction mastered at site 1 at tick 0 and waits
-// for quiescence. The trace is always recorded.
+// for quiescence.
 func runOne(t testing.TB, cfg cluster.Config, opts cluster.SimOptions) *oneRun {
+	t.Helper()
+	return runTxn(t, cfg, opts, cluster.Txn{Master: 1})
+}
+
+// runTxn runs txn alone on a fresh simulated cluster to quiescence,
+// recording the trace.
+func runTxn(t testing.TB, cfg cluster.Config, opts cluster.SimOptions, txn cluster.Txn) *oneRun {
 	t.Helper()
 	opts.RecordTrace = true
 	b := cluster.NewSimBackend(opts)
@@ -55,7 +62,7 @@ func runOne(t testing.TB, cfg cluster.Config, opts cluster.SimOptions) *oneRun {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	r, err := c.Submit(cluster.Txn{Master: 1})
+	r, err := c.Submit(txn)
 	if err != nil {
 		t.Fatal(err)
 	}
