@@ -1,14 +1,14 @@
 // Command termsim runs commit-protocol scenarios through the unified
 // cluster API: one or many concurrent transactions, a scripted fault
 // timeline, and a choice of execution backend — the deterministic
-// discrete-event simulator, the goroutine-per-site live runtime, or a
-// localnet of real termnode processes speaking the protocol over TCP
-// (-backend net), where a scheduled crash is a SIGKILL and a recovery is
-// a fresh process over the surviving write-ahead log.
+// discrete-event simulator, or a localnet of real termnode processes
+// speaking the protocol over TCP (-backend net), where a scheduled crash
+// is a SIGKILL and a recovery is a fresh process over the surviving
+// write-ahead log.
 //
 // Usage:
 //
-//	termsim [-proto NAME] [-n sites] [-txns k] [-backend sim|live|net]
+//	termsim [-proto NAME] [-n sites] [-txns k] [-backend sim|net]
 //	        [-masters fixed|rr|primary] [-spacing 0.4]
 //	        [-shards s] [-rf r] [-accounts a] [-zipf s] [-ops k] [-db]
 //	        [-lease-ttl 15] [-quorum all|majority|one]
@@ -41,7 +41,6 @@
 //	termsim -proto termination -n 5 -g2 4,5 -at 2.5 # paper's protocol
 //	termsim -proto termination+transient -n 5 -txns 12 \
 //	        -schedule "partition@2.5:4,5;heal@9" -masters rr
-//	termsim -backend live -n 5 -txns 8 -schedule "partition@2.5:4,5;heal@12"
 //	termsim -backend net -n 3 -txns 4 \
 //	        -schedule "crash@0.8:1;recover@8:1"       # real processes, real SIGKILL
 //	termsim -n 12 -shards 12 -rf 3 -txns 24         # sharded placement
@@ -78,7 +77,7 @@ func main() {
 	list := flag.Bool("list", false, "list protocols and exit")
 	n := flag.Int("n", 4, "number of sites")
 	txns := flag.Int("txns", 1, "number of concurrent transactions")
-	backend := flag.String("backend", "sim", "execution backend: sim, live, or net (real termnode processes over TCP)")
+	backend := flag.String("backend", "sim", "execution backend: sim or net (real termnode processes over TCP)")
 	workdir := flag.String("workdir", "", "net backend: localnet root for per-node WALs and logs (default a temp dir; left behind for postmortems)")
 	masters := flag.String("masters", "", "master policy: fixed (site 1), rr (round-robin), primary (shard-local); default fixed, or primary with -shards")
 	shards := flag.Int("shards", 0, "hash-shard the keyspace across this many shards (0 = full replication)")
@@ -269,8 +268,6 @@ func main() {
 		}
 		simBackend = cluster.NewSimBackend(opts)
 		cfg.Backend = simBackend
-	case "live":
-		cfg.Backend = cluster.NewLiveBackend(cluster.LiveOptions{Seed: int64(*seed)})
 	case "net":
 		// Every site becomes a real termnode process; the protocol crosses
 		// the localnet by name, so the flag's value is the wire contract.
@@ -348,7 +345,7 @@ func main() {
 	if *showMetrics {
 		msnap = c.Metrics()
 	}
-	c.Close() // live backend: fills final automaton states
+	c.Close()
 
 	fmt.Printf("protocol %s, %d sites, %d txns, %s backend, T=%d ticks\n",
 		p.Name(), *n, *txns, cfg.Backend.Name(), sim.DefaultT)

@@ -5,8 +5,7 @@
 // all decisions agree — the headline property.
 //
 // The same scenario under plain two-phase commit strands transactions on
-// the separated sites (holding their locks forever), and the same
-// scenario runs unchanged on the real-time goroutine backend.
+// the separated sites (holding their locks forever).
 package main
 
 import (
@@ -15,7 +14,7 @@ import (
 	"termproto"
 )
 
-// schedule is the fault timeline, shared by every run below: the paper's
+// schedule is the fault timeline, shared by both runs below: the paper's
 // G2 = {4, 5} separates at 4.5T and the boundary disappears at 12T, so
 // the partition catches the middle of the transaction stream.
 var schedule = termproto.Schedule{
@@ -71,13 +70,5 @@ func main() {
 		Sites:    5,
 		Protocol: termproto.TwoPC(),
 		Schedule: schedule,
-	})
-
-	// The identical scenario on real goroutines and wall-clock timers.
-	run("termination protocol, live backend", termproto.ClusterConfig{
-		Sites:    5,
-		Protocol: termproto.TerminationTransient(),
-		Schedule: schedule,
-		Backend:  termproto.NewLiveBackend(termproto.LiveOptions{}),
 	})
 }

@@ -93,61 +93,82 @@ func TestBatchingMixedOutcomes(t *testing.T) {
 	}
 }
 
-// TestBatchingNetParity runs one same-At coalesced batch through the
+// TestBatchingNetParity runs same-At coalesced batches through the
 // simulator and through real termnode processes, Batching on for both.
 // Every member must commit on both backends, and the daemons' engines
-// must hold every member's write — proof the carrier envelope decodes
+// must hold every put member's write — proof the carrier envelope decodes
 // and fans out across the process boundary exactly as it does in-sim.
+// The inputs cover all-put, all-empty and mixed carriers: an empty
+// member has no database ops and must not turn its carrier's vote to no.
 func TestBatchingNetParity(t *testing.T) {
 	const n = 6
-	open := func(b Backend) (*Cluster, []*TxnResult) {
-		c, err := Open(Config{
-			Sites: 3, Protocol: core.Protocol{TransientFix: true},
-			Backend: b, Batching: true,
-		})
-		if err != nil {
-			t.Fatalf("open %s: %v", b.Name(), err)
-		}
-		t.Cleanup(func() { c.Close() })
-		rs, err := c.SubmitBatch(sameAtBatch(n))
-		if err != nil {
-			t.Fatalf("submit %s: %v", b.Name(), err)
-		}
-		if err := c.Wait(); err != nil {
-			t.Fatalf("wait %s: %v", b.Name(), err)
-		}
-		return c, rs
+	mixed := sameAtBatch(n)
+	for i := 1; i < n; i += 2 {
+		mixed[i].Payload = nil
 	}
-
-	simC, simRS := open(NewSimBackend(SimOptions{Seed: 11}))
-	nb := netBackend(t)
-	netC, netRS := open(nb)
-
-	for i := range simRS {
-		so, no := simRS[i].Outcome(), netRS[i].Outcome()
-		if so != no {
-			t.Errorf("txn %d: sim=%s net=%s", simRS[i].TID, so, no)
-		}
-		if so != proto.Commit {
-			t.Errorf("txn %d: sim outcome %s, want commit", simRS[i].TID, so)
-		}
-	}
-	if err := simC.Termination(); err != nil {
-		t.Errorf("sim termination: %v", err)
-	}
-	if err := netC.Termination(); err != nil {
-		t.Errorf("net termination: %v", err)
-	}
-	snaps := nb.Snapshots()
-	if len(snaps) != 3 {
-		t.Fatalf("snapshots from %d/3 nodes", len(snaps))
-	}
-	for id, snap := range snaps {
-		for i := 0; i < n; i++ {
-			key := string(rune('a' + i))
-			if string(snap[key]) != "v" {
-				t.Errorf("site %d: key %q = %q, want \"v\"", id, key, snap[key])
+	for _, tc := range []struct {
+		name string
+		txns []Txn
+	}{
+		{"puts", sameAtBatch(n)},
+		{"empty", make([]Txn, n)},
+		{"mixed", mixed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			open := func(b Backend) (*Cluster, []*TxnResult) {
+				c, err := Open(Config{
+					Sites: 3, Protocol: core.Protocol{TransientFix: true},
+					Backend: b, Batching: true,
+				})
+				if err != nil {
+					t.Fatalf("open %s: %v", b.Name(), err)
+				}
+				t.Cleanup(func() { c.Close() })
+				rs, err := c.SubmitBatch(tc.txns)
+				if err != nil {
+					t.Fatalf("submit %s: %v", b.Name(), err)
+				}
+				if err := c.Wait(); err != nil {
+					t.Fatalf("wait %s: %v", b.Name(), err)
+				}
+				return c, rs
 			}
-		}
+
+			simC, simRS := open(NewSimBackend(SimOptions{Seed: 11}))
+			nb := netBackend(t)
+			netC, netRS := open(nb)
+
+			for i := range simRS {
+				so, no := simRS[i].Outcome(), netRS[i].Outcome()
+				if so != no {
+					t.Errorf("txn %d: sim=%s net=%s", simRS[i].TID, so, no)
+				}
+				if so != proto.Commit {
+					t.Errorf("txn %d: sim outcome %s, want commit", simRS[i].TID, so)
+				}
+			}
+			if err := simC.Termination(); err != nil {
+				t.Errorf("sim termination: %v", err)
+			}
+			if err := netC.Termination(); err != nil {
+				t.Errorf("net termination: %v", err)
+			}
+			snaps := nb.Snapshots()
+			if len(snaps) != 3 {
+				t.Fatalf("snapshots from %d/3 nodes", len(snaps))
+			}
+			for id, snap := range snaps {
+				for i, txn := range tc.txns {
+					key := string(rune('a' + i))
+					want := "v"
+					if len(txn.Payload) == 0 {
+						want = ""
+					}
+					if string(snap[key]) != want {
+						t.Errorf("site %d: key %q = %q, want %q", id, key, snap[key], want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -1,11 +1,11 @@
 // Package cluster is the unified execution surface for the repository's
 // commit protocols: a long-lived Cluster accepts many concurrent
 // transactions, each with its own master, runs them through a pluggable
-// Backend — the deterministic discrete-event SimBackend or the
-// goroutine-per-site LiveBackend — and scripts faults (partitions, heals,
-// repartitions, site crashes and recoveries) as first-class timeline
-// events. The same scenario, protocol and workload code runs unchanged
-// against either backend.
+// Backend — the deterministic discrete-event SimBackend or the NetBackend
+// localnet of real termnode processes — and scripts faults (partitions,
+// heals, repartitions, site crashes and recoveries) as first-class
+// timeline events. The same scenario, protocol and workload code runs
+// unchanged against either backend.
 //
 // A placement.Directory adds an elastic data-placement layer: the
 // keyspace is hash-sharded with an epoch-stamped replica set per shard,
@@ -368,11 +368,11 @@ func (s Stats) String() string {
 }
 
 // Backend is a pluggable execution runtime for a Cluster. SimBackend runs
-// the deterministic discrete-event simulator; LiveBackend runs real
-// goroutines and wall-clock timers. All calls are made by Cluster, which
-// serializes them.
+// the deterministic discrete-event simulator; NetBackend runs one real
+// termnode process per site over TCP and wall-clock timers. All calls are
+// made by Cluster, which serializes them.
 type Backend interface {
-	// Name identifies the backend ("sim", "live").
+	// Name identifies the backend ("sim", "net").
 	Name() string
 	// Open initializes the runtime for the given cluster shape and fault
 	// schedule. Called exactly once, before any Submit.
@@ -380,7 +380,7 @@ type Backend interface {
 	// Submit starts one transaction; the backend fills res as sites
 	// decide. res is fully populated after the Wait covering it returns.
 	Submit(t Txn, res *TxnResult) error
-	// Wait runs (sim) or waits (live) until every submitted transaction
+	// Wait runs (sim) or waits (net) until every submitted transaction
 	// has terminated or provably blocked, then finalizes all results.
 	Wait() error
 	// Inject adds a fault event to the timeline mid-run. Times at or
@@ -420,10 +420,9 @@ type Cluster struct {
 	closed  bool
 
 	// Migration bookkeeping (Join/Leave/MoveShard).
-	migrations    []*MigrationReport
-	shardsMoved   int
-	keysMigrated  int
-	pendingRetire []proto.SiteID // committed leavers whose site loops retire at the next Wait
+	migrations   []*MigrationReport
+	shardsMoved  int
+	keysMigrated int
 	// pendingReconcile lists (shard, added replica) pairs from committed
 	// migrations: transactions admitted under the old epoch terminate at
 	// their admission-epoch participants, so the new replica converges
@@ -881,9 +880,7 @@ func (c *Cluster) settleCarriers() {
 
 // Wait blocks until every submitted transaction has terminated or provably
 // blocked, and finalizes their results. More transactions may be submitted
-// after Wait returns; the timeline continues. Sites whose Leave migration
-// committed are retired here, once everything they participated in has
-// quiesced.
+// after Wait returns; the timeline continues.
 func (c *Cluster) Wait() error {
 	c.mu.Lock()
 	if c.closed {
@@ -897,15 +894,6 @@ func (c *Cluster) Wait() error {
 	c.settleCarriers()
 	c.settleMigrations()
 	c.reconcileMigrated()
-	c.mu.Lock()
-	retire := c.pendingRetire
-	c.pendingRetire = nil
-	c.mu.Unlock()
-	if lc, ok := c.backend.(siteLifecycle); ok {
-		for _, id := range retire {
-			lc.RetireSite(id)
-		}
-	}
 	c.recordDecidedAll()
 	return nil
 }

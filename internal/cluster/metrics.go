@@ -103,8 +103,8 @@ func (m *clusterMetrics) carrier(n int) {
 // recordDecided observes one transaction's terminal latency, exactly
 // once per TID: submit→decided into the round histogram, and — for
 // commits — into the per-shard commit-latency histogram. Latencies are
-// in ticks on every backend (live and net convert wall time at the
-// result boundary). Called from Wait and Metrics with settled results.
+// in ticks on every backend (net converts wall time at the result
+// boundary). Called from Wait and Metrics with settled results.
 func (m *clusterMetrics) recordDecided(r *TxnResult) {
 	if m == nil || r == nil {
 		return

@@ -3,7 +3,6 @@ package cluster
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"termproto/internal/obs"
 	"termproto/internal/proto"
@@ -18,26 +17,6 @@ func metricsRun(t *testing.T, backend Backend) obs.Snapshot {
 	return c.Metrics()
 }
 
-// TestMetricsNamesParitySimLive: the family-name set of Cluster.Metrics()
-// is the pre-registered catalog, identical across backends and
-// independent of which code paths a run exercised.
-func TestMetricsNamesParitySimLive(t *testing.T) {
-	simSnap := metricsRun(t, NewSimBackend(SimOptions{Seed: 11}))
-	liveSnap := metricsRun(t, NewLiveBackend(LiveOptions{T: 3 * time.Millisecond}))
-	if !reflect.DeepEqual(simSnap.Names(), liveSnap.Names()) {
-		t.Fatalf("family names diverge:\nsim:  %v\nlive: %v", simSnap.Names(), liveSnap.Names())
-	}
-	for _, snap := range []obs.Snapshot{simSnap, liveSnap} {
-		// 4 txns decided, 3 committed (one scripted no-vote abort).
-		if got := snap.Value(obs.MRoundLatency, obs.L("phase", "decided")); got != 4 {
-			t.Errorf("round-latency decided count = %d, want 4", got)
-		}
-		if got := snap.Total(obs.MShardCommitLatency); got != 3 {
-			t.Errorf("shard commit-latency count = %d, want 3", got)
-		}
-	}
-}
-
 // TestNetMetricsParity runs the same batch against real termnode
 // processes: the merged snapshot must expose exactly the same family
 // names as the simulator's, and the daemon-side seams — per-shard engine
@@ -48,6 +27,13 @@ func TestNetMetricsParity(t *testing.T) {
 	netSnap := metricsRun(t, netBackend(t))
 	if !reflect.DeepEqual(simSnap.Names(), netSnap.Names()) {
 		t.Fatalf("family names diverge:\nsim: %v\nnet: %v", simSnap.Names(), netSnap.Names())
+	}
+	// 4 txns decided, 3 committed (one scripted no-vote abort).
+	if got := simSnap.Value(obs.MRoundLatency, obs.L("phase", "decided")); got != 4 {
+		t.Errorf("sim round-latency decided count = %d, want 4", got)
+	}
+	if got := simSnap.Total(obs.MShardCommitLatency); got != 3 {
+		t.Errorf("sim shard commit-latency count = %d, want 3", got)
 	}
 	// 3 commits at each of 3 daemon replicas; the aborted txn counts only
 	// at the 2 replicas that executed it (the scripted no-voter never

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
@@ -74,12 +73,11 @@ func assertShardIdentical(t *testing.T, d *placement.Directory, engs map[proto.S
 	}
 }
 
-// The headline acceptance scenario, run on BOTH backends: a fresh
-// provisioned site joins mid-traffic, shards migrate onto it through the
-// catch-up machinery, the epoch bump commits through the commit protocol,
-// and the new replica ends byte-identical to its shard peers.
-func joinScenario(t *testing.T, backend Backend) {
-	t.Helper()
+// The headline acceptance scenario: a fresh provisioned site joins
+// mid-traffic, shards migrate onto it through the catch-up machinery, the
+// epoch bump commits through the commit protocol, and the new replica
+// ends byte-identical to its shard peers.
+func TestSimJoinMigratesShards(t *testing.T) {
 	const sites, accounts = 4, 16
 	d := placement.NewDirectory(mustAssignment(t, 8, 2, 1, 2, 3))
 	parts, engs := directoryEngines(d, sites, accounts, 1000)
@@ -88,7 +86,6 @@ func joinScenario(t *testing.T, backend Backend) {
 		Protocol:     core.Protocol{TransientFix: true},
 		Directory:    d,
 		Participants: parts,
-		Backend:      backend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +130,7 @@ func joinScenario(t *testing.T, backend Backend) {
 		t.Fatal(err)
 	}
 	if err := c.Termination(); err != nil {
-		t.Fatalf("%s backend termination after join: %v", backend.Name(), err)
+		t.Fatalf("termination after join: %v", err)
 	}
 	assertShardIdentical(t, d, engs, 4)
 	st := c.Stats()
@@ -145,18 +142,9 @@ func joinScenario(t *testing.T, backend Backend) {
 	}
 }
 
-func TestSimJoinMigratesShards(t *testing.T) {
-	joinScenario(t, NewSimBackend(SimOptions{}))
-}
-
-func TestLiveJoinMigratesShards(t *testing.T) {
-	joinScenario(t, NewLiveBackend(LiveOptions{T: 5 * time.Millisecond}))
-}
-
 // A leave drains its shards to replacement replicas without losing a
-// committed write, on BOTH backends.
-func leaveScenario(t *testing.T, backend Backend) {
-	t.Helper()
+// committed write.
+func TestSimLeaveDrainsWithoutLoss(t *testing.T) {
 	const sites, accounts = 5, 15
 	d := placement.NewDirectory(mustAssignment(t, 6, 3, 1, 2, 3, 4, 5))
 	parts, engs := directoryEngines(d, sites, accounts, 1000)
@@ -165,7 +153,6 @@ func leaveScenario(t *testing.T, backend Backend) {
 		Protocol:     core.Protocol{TransientFix: true},
 		Directory:    d,
 		Participants: parts,
-		Backend:      backend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,14 +213,6 @@ func leaveScenario(t *testing.T, backend Backend) {
 	if total != int64(accounts)*1000 {
 		t.Fatalf("total %d after leave, want %d — a committed write was lost", total, accounts*1000)
 	}
-}
-
-func TestSimLeaveDrainsWithoutLoss(t *testing.T) {
-	leaveScenario(t, NewSimBackend(SimOptions{}))
-}
-
-func TestLiveLeaveDrainsWithoutLoss(t *testing.T) {
-	leaveScenario(t, NewLiveBackend(LiveOptions{T: 5 * time.Millisecond}))
 }
 
 // Transactions admitted before an epoch bump terminate under their
@@ -490,93 +469,88 @@ func TestScheduledJoinLeaveEvents(t *testing.T) {
 
 // RF=1 placement takes the local fast path: a single-replica transaction
 // commits at its one site without a protocol round — zero messages on
-// the wire — on BOTH backends.
+// the wire.
 func TestRF1LocalFastPath(t *testing.T) {
-	run := func(backend Backend) {
-		const sites, accounts = 4, 8
-		m, err := NewShardMap(accounts, 1, sites)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make(map[proto.SiteID]Participant, sites)
-		engs := make(map[proto.SiteID]*engine.Engine, sites)
-		for i := 1; i <= sites; i++ {
-			id := proto.SiteID(i)
-			e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
-			e.SetPlacement(func(key string) bool { return m.Hosts(id, key) })
-			for a := 0; a < accounts; a++ {
-				if key := fmt.Sprintf("acct/%d", a); m.Hosts(id, key) {
-					e.PutInt(key, 100)
-				}
-			}
-			parts[id] = e
-			engs[id] = e
-		}
-		c, err := Open(Config{
-			Sites:        sites,
-			Protocol:     core.Protocol{TransientFix: true},
-			ShardMap:     m,
-			Participants: parts,
-			Backend:      backend,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		// Single-key payloads: exactly one replica, no protocol round.
-		var rs []*TxnResult
+	const sites, accounts = 4, 8
+	m, err := NewShardMap(accounts, 1, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make(map[proto.SiteID]Participant, sites)
+	engs := make(map[proto.SiteID]*engine.Engine, sites)
+	for i := 1; i <= sites; i++ {
+		id := proto.SiteID(i)
+		e := engine.New(fmt.Sprintf("site-%d", i), &wal.MemStore{})
+		e.SetPlacement(func(key string) bool { return m.Hosts(id, key) })
 		for a := 0; a < accounts; a++ {
-			payload := engine.EncodeOps([]engine.Op{
-				{Kind: engine.OpAdd, Key: fmt.Sprintf("acct/%d", a), Delta: 11},
-			})
-			r, err := c.Submit(Txn{Payload: payload, At: c.Now()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(r.Participants) != 1 {
-				t.Fatalf("rf=1 single-key txn at %v participants", r.Participants)
-			}
-			rs = append(rs, r)
-		}
-		if err := c.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rs {
-			if r.Outcome() != proto.Commit || !r.Decided() {
-				t.Fatalf("local txn %d: outcome=%v blocked=%v", r.TID, r.Outcome(), r.Blocked())
+			if key := fmt.Sprintf("acct/%d", a); m.Hosts(id, key) {
+				e.PutInt(key, 100)
 			}
 		}
-		st := c.Stats()
-		if st.Net.MsgsSent != 0 {
-			t.Fatalf("%s: local fast path sent %d messages, want 0", backend.Name(), st.Net.MsgsSent)
-		}
-		if st.Committed != accounts {
-			t.Fatalf("stats: %v", st)
-		}
-		// An overdraft still aborts locally.
-		bad := engine.EncodeOps([]engine.Op{
-			{Kind: engine.OpAdd, Key: "acct/0", Delta: -10_000},
+		parts[id] = e
+		engs[id] = e
+	}
+	c, err := Open(Config{
+		Sites:        sites,
+		Protocol:     core.Protocol{TransientFix: true},
+		ShardMap:     m,
+		Participants: parts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Single-key payloads: exactly one replica, no protocol round.
+	var rs []*TxnResult
+	for a := 0; a < accounts; a++ {
+		payload := engine.EncodeOps([]engine.Op{
+			{Kind: engine.OpAdd, Key: fmt.Sprintf("acct/%d", a), Delta: 11},
 		})
-		r, err := c.Submit(Txn{Payload: bad, At: c.Now()})
+		r, err := c.Submit(Txn{Payload: payload, At: c.Now()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Wait(); err != nil {
-			t.Fatal(err)
+		if len(r.Participants) != 1 {
+			t.Fatalf("rf=1 single-key txn at %v participants", r.Participants)
 		}
-		if r.Outcome() != proto.Abort {
-			t.Fatalf("overdraft committed on the fast path: %v", r.Outcome())
-		}
-		if err := c.Termination(); err != nil {
-			t.Fatal(err)
-		}
-		for a := 0; a < accounts; a++ {
-			key := fmt.Sprintf("acct/%d", a)
-			if got := engs[m.Primary(m.ShardOf(key))].GetInt(key); got != 111 {
-				t.Fatalf("%s = %d, want 111", key, got)
-			}
+		rs = append(rs, r)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		if r.Outcome() != proto.Commit || !r.Decided() {
+			t.Fatalf("local txn %d: outcome=%v blocked=%v", r.TID, r.Outcome(), r.Blocked())
 		}
 	}
-	run(NewSimBackend(SimOptions{}))
-	run(NewLiveBackend(LiveOptions{T: 3 * time.Millisecond}))
+	st := c.Stats()
+	if st.Net.MsgsSent != 0 {
+		t.Fatalf("local fast path sent %d messages, want 0", st.Net.MsgsSent)
+	}
+	if st.Committed != accounts {
+		t.Fatalf("stats: %v", st)
+	}
+	// An overdraft still aborts locally.
+	bad := engine.EncodeOps([]engine.Op{
+		{Kind: engine.OpAdd, Key: "acct/0", Delta: -10_000},
+	})
+	r, err := c.Submit(Txn{Payload: bad, At: c.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Outcome() != proto.Abort {
+		t.Fatalf("overdraft committed on the fast path: %v", r.Outcome())
+	}
+	if err := c.Termination(); err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < accounts; a++ {
+		key := fmt.Sprintf("acct/%d", a)
+		if got := engs[m.Primary(m.ShardOf(key))].GetInt(key); got != 111 {
+			t.Fatalf("%s = %d, want 111", key, got)
+		}
+	}
 }

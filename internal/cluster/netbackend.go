@@ -46,19 +46,20 @@ type NetOptions struct {
 // NetBackend runs transactions on a localnet of real termnode processes:
 // every site is its own OS process speaking the wire protocol over TCP,
 // every WAL is a real file, a crash is a SIGKILL and a recovery is a
-// fresh process over the surviving workspace. It is the third rung of
-// the fidelity ladder — sim (deterministic), live (goroutines), net
-// (processes) — and the same Cluster API drives all three.
+// fresh process over the surviving workspace. It is the wall-clock
+// counterpart of the deterministic SimBackend, and the same Cluster API
+// drives both.
 //
 // Unsupported with this backend: Participants (the engines live in the
 // daemon processes; inspect them through the admin API) and membership
-// events. A Directory is supported in its static form — the epoch-0
-// assignment ships to every daemon, which hosts and recovers only its
-// own shards — but epoch bumps (join/leave/move) are not; the directory
-// must still be at epoch 0. Durable recovery is always on — a
-// restarted daemon replays its WAL, resolves in-doubt transactions with
-// real MsgInquire traffic and pulls missed commits before turning
-// healthy — so Config.Recovery is implied.
+// events — both stay fully supported on the simulator. Open rejects them
+// before any process starts. A Directory is supported in its static form
+// — the epoch-0 assignment ships to every daemon, which hosts and
+// recovers only its own shards — but epoch bumps (join/leave/move) are
+// not; the directory must still be at epoch 0. Durable recovery is
+// always on — a restarted daemon replays its WAL, resolves in-doubt
+// transactions with real MsgInquire traffic and pulls missed commits
+// before turning healthy — so Config.Recovery is implied.
 type NetBackend struct {
 	opts NetOptions
 	cfg  Config

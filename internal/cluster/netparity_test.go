@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
+	"termproto/internal/db/wal"
+	"termproto/internal/placement"
 	"termproto/internal/proto"
 	"termproto/internal/sim"
 )
@@ -192,5 +197,71 @@ func TestNetCrashAfterPrepared(t *testing.T) {
 		if outcome == proto.Abort && got != "" {
 			t.Errorf("site %d: crash = %q after abort", id, got)
 		}
+	}
+}
+
+// TestNetOpenRejectsUnsupportedConfigs pins the net backend's loud
+// rejections: in-process participants, a directory past epoch 0,
+// single-replica placement and membership events all stay simulator-only,
+// and Open must refuse each one before any termnode process starts. The
+// binary path points nowhere, so a row that slipped past the checks
+// could not spawn a daemon either; the empty workspace proves none did.
+func TestNetOpenRejectsUnsupportedConfigs(t *testing.T) {
+	epoch0 := func() *placement.Directory {
+		return placement.NewDirectory(mustAssignment(t, 4, 2, 1, 2, 3))
+	}
+	bumped := func() *placement.Directory {
+		asg, err := placement.ArithmeticOver(4, 2, []proto.SiteID{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := asg.WithJoin(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := placement.NewDirectory(asg)
+		if err := d.SetPending(next); err != nil {
+			t.Fatal(err)
+		}
+		d.CommitPending()
+		return d
+	}
+	rf1, err := NewShardMap(4, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"participants", Config{Participants: map[proto.SiteID]Participant{
+			1: engine.New("site-1", &wal.MemStore{}),
+		}}, "participants"},
+		{"epoch past 0", Config{Directory: bumped()}, "epoch 0"},
+		{"rf 1", Config{ShardMap: rf1}, "rf >= 2"},
+		{"join", Config{Directory: epoch0(), Schedule: Schedule{JoinAt(1000, 3)}}, "membership"},
+		{"leave", Config{Directory: epoch0(), Schedule: Schedule{LeaveAt(1000, 3)}}, "membership"},
+		{"move", Config{Directory: epoch0(), Schedule: Schedule{MoveShardAt(1000, 0, 1, 3)}}, "membership"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			nb := NewNetBackend(NetOptions{
+				T: netT, Workdir: dir, BinPath: filepath.Join(dir, "no-termnode"),
+			})
+			tc.cfg.Sites = 3
+			tc.cfg.Protocol = core.Protocol{TransientFix: true}
+			tc.cfg.Backend = nb
+			if _, err := Open(tc.cfg); err == nil || !strings.Contains(err.Error(), "net backend") ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open error = %v, want a net backend rejection mentioning %q", err, tc.want)
+			}
+			if nb.net != nil {
+				t.Fatal("a localnet was started")
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Fatalf("workspace not empty: %d entries", len(ents))
+			}
+		})
 	}
 }

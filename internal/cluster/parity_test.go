@@ -2,81 +2,14 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"termproto/internal/core"
 	"termproto/internal/proto"
-	"termproto/internal/sim"
 )
 
-// parityScenario is a deterministic-outcome scenario: failure-free, so the
-// per-transaction outcome is fully determined by the votes regardless of
-// message timing — the "same outcomes where determinism allows" contract
-// between backends.
-func parityScenario(backend Backend) []Txn {
-	return []Txn{
-		{},                          // all-yes: must commit
-		{Votes: NoAt(3)},            // a no vote: must abort
-		{Master: 2},                 // different coordinator: must commit
-		{Votes: NoAt(1)},            // master-side no: must abort
-		{},                          // all-yes again
-		{Master: 4, Votes: NoAt(2)}, // rotated master, slave no
-	}
-}
-
-func runParity(t *testing.T, backend Backend) []proto.Outcome {
-	t.Helper()
-	c, err := Open(Config{
-		Sites:    4,
-		Protocol: core.Protocol{TransientFix: true},
-		Backend:  backend,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rs, err := c.SubmitBatch(parityScenario(backend))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Termination(); err != nil {
-		t.Fatalf("%s backend: %v", backend.Name(), err)
-	}
-	out := make([]proto.Outcome, 0, len(rs))
-	for _, r := range rs {
-		if !r.Consistent() {
-			t.Fatalf("%s backend: txn %d inconsistent", backend.Name(), r.TID)
-		}
-		out = append(out, r.Outcome())
-	}
-	return out
-}
-
-// TestSimLiveParity runs the identical deterministic-outcome scenario on
-// both backends and demands identical per-transaction outcomes.
-func TestSimLiveParity(t *testing.T) {
-	simOut := runParity(t, NewSimBackend(SimOptions{}))
-	liveOut := runParity(t, NewLiveBackend(LiveOptions{T: 3 * time.Millisecond}))
-	want := []proto.Outcome{
-		proto.Commit, proto.Abort, proto.Commit, proto.Abort, proto.Commit, proto.Abort,
-	}
-	for i := range want {
-		if simOut[i] != want[i] {
-			t.Errorf("sim txn %d = %v, want %v", i+1, simOut[i], want[i])
-		}
-		if liveOut[i] != want[i] {
-			t.Errorf("live txn %d = %v, want %v", i+1, liveOut[i], want[i])
-		}
-	}
-}
-
-// TestAutomataSpawnedParity: both backends expose per-site automaton
-// instantiation counters, and on a failure-free run with explicit
-// participant rosters they must agree exactly — the placement observable
-// is backend-independent.
+// TestAutomataSpawnedParity: the sim backend's per-site automaton
+// instantiation counters must agree exactly with the explicit participant
+// rosters of a failure-free run — one automaton per roster entry.
 func TestAutomataSpawnedParity(t *testing.T) {
 	scenario := []Txn{
 		{Sites: []proto.SiteID{1, 2, 3}},
@@ -85,77 +18,26 @@ func TestAutomataSpawnedParity(t *testing.T) {
 		{Sites: []proto.SiteID{1, 4}},
 	}
 	want := map[proto.SiteID]int{1: 3, 2: 3, 3: 3, 4: 3}
-	run := func(backend Backend, spawned func() map[proto.SiteID]int) {
-		c, err := Open(Config{
-			Sites:    4,
-			Protocol: core.Protocol{TransientFix: true},
-			Backend:  backend,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if _, err := c.SubmitBatch(scenario); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		got := spawned()
-		for id, n := range want {
-			if got[id] != n {
-				t.Fatalf("%s backend spawned %v, want %v", backend.Name(), got, want)
-			}
+	sb := NewSimBackend(SimOptions{})
+	c, err := Open(Config{
+		Sites:    4,
+		Protocol: core.Protocol{TransientFix: true},
+		Backend:  sb,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.SubmitBatch(scenario); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got := sb.AutomataSpawned()
+	for id, n := range want {
+		if got[id] != n {
+			t.Fatalf("spawned %v, want %v", got, want)
 		}
 	}
-	sim := NewSimBackend(SimOptions{})
-	run(sim, sim.AutomataSpawned)
-	live := NewLiveBackend(LiveOptions{T: 3 * time.Millisecond})
-	run(live, live.AutomataSpawned)
-}
-
-// TestSimLivePartitionParity runs the same partitioned scenario on both
-// backends. Outcomes under a partition are timing-dependent on the live
-// backend, so the parity contract weakens to the safety properties: every
-// transaction terminates at every live participating site, and no two
-// sites ever disagree.
-func TestSimLivePartitionParity(t *testing.T) {
-	run := func(backend Backend) {
-		c, err := Open(Config{
-			Sites:    5,
-			Protocol: core.Protocol{TransientFix: true},
-			Backend:  backend,
-			Schedule: Schedule{
-				PartitionAt(2500, 4, 5),
-				HealAt(10_000),
-				TransientPartitionAt(15_000, 20_000, 2),
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		batch := make([]Txn, 10)
-		for i := range batch {
-			batch[i].At = sim.Time(i) * 1800
-		}
-		if _, err := c.SubmitBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Termination(); err != nil {
-			t.Fatalf("%s backend violated termination: %v", backend.Name(), err)
-		}
-		st := c.Stats()
-		if st.Inconsistent != 0 || st.Blocked != 0 || st.Committed+st.Aborted != len(batch) {
-			t.Fatalf("%s backend stats: %v", backend.Name(), st)
-		}
-	}
-	run(NewSimBackend(SimOptions{}))
-	// A roomy T: the live model requires real delay + scheduling jitter to
-	// stay within the declared bound, and instrumented builds (-race) add
-	// milliseconds of jitter of their own.
-	run(NewLiveBackend(LiveOptions{T: 8 * time.Millisecond}))
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"termproto/internal/core"
 	"termproto/internal/db/engine"
@@ -309,64 +308,5 @@ func TestShardedExplicitMasterJoins(t *testing.T) {
 	}
 	if !r.Decided() || r.Outcome() != proto.Commit {
 		t.Fatalf("outcome=%v blocked=%v", r.Outcome(), r.Blocked())
-	}
-}
-
-// Sim-vs-live parity for sharded workloads: the same placement, the same
-// deterministic-outcome transactions, identical per-transaction outcomes
-// on both backends, and termination holds on both.
-func TestShardedSimLiveParity(t *testing.T) {
-	const sites, accounts = 6, 12
-	run := func(backend Backend) []proto.Outcome {
-		m := mustShardMap(t, 6, 3, sites)
-		parts := shardedEngines(m, accounts, 500)
-		c, err := Open(Config{
-			Sites:        sites,
-			Protocol:     core.Protocol{TransientFix: true},
-			ShardMap:     m,
-			Participants: parts,
-			Backend:      backend,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		// Deterministic outcomes: transfer 5 commits, overdraft aborts.
-		batch := []Txn{
-			{Payload: transfer(0, 1, 5)},
-			{Payload: transfer(2, 3, 501)}, // insufficient funds: abort
-			{Payload: transfer(4, 9, 5)},
-			{Payload: transfer(6, 11, 501)}, // insufficient funds: abort
-			{Payload: transfer(8, 5, 5)},
-		}
-		rs, err := c.SubmitBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Termination(); err != nil {
-			t.Fatalf("%s backend: %v", backend.Name(), err)
-		}
-		out := make([]proto.Outcome, 0, len(rs))
-		for _, r := range rs {
-			if !r.Consistent() {
-				t.Fatalf("%s backend: txn %d inconsistent", backend.Name(), r.TID)
-			}
-			out = append(out, r.Outcome())
-		}
-		return out
-	}
-	simOut := run(NewSimBackend(SimOptions{}))
-	liveOut := run(NewLiveBackend(LiveOptions{T: 5 * time.Millisecond}))
-	want := []proto.Outcome{proto.Commit, proto.Abort, proto.Commit, proto.Abort, proto.Commit}
-	for i := range want {
-		if simOut[i] != want[i] {
-			t.Errorf("sim txn %d = %v, want %v", i+1, simOut[i], want[i])
-		}
-		if liveOut[i] != want[i] {
-			t.Errorf("live txn %d = %v, want %v", i+1, liveOut[i], want[i])
-		}
 	}
 }

@@ -304,7 +304,9 @@ func (e *Engine) ExecuteAt(tid proto.TxnID, payload []byte, sites []proto.SiteID
 // multi-transaction batch envelope into the concatenation of its members'
 // ops — the whole carrier executes as one atomic unit (one lock set, one
 // vote, one decision), so a conflict or guard violation in any member
-// aborts the group.
+// aborts the group. An empty member has no ops and is skipped, the same
+// rule a lone empty body gets at the site; a malformed member is still
+// ErrBadPayload.
 func decodePayloadOps(payload []byte) ([]Op, error) {
 	if !proto.IsBatchPayload(payload) {
 		return DecodeOps(payload)
@@ -315,6 +317,9 @@ func decodePayloadOps(payload []byte) ([]Op, error) {
 	}
 	var ops []Op
 	for _, m := range b.Members {
+		if len(m.Payload) == 0 {
+			continue
+		}
 		mo, err := DecodeOps(m.Payload)
 		if err != nil {
 			return nil, ErrBadPayload
@@ -329,6 +334,11 @@ func (e *Engine) execute(tid proto.TxnID, payload []byte, beginMeta []byte) bool
 	defer e.mu.Unlock()
 	id := uint64(tid)
 	ops, err := decodePayloadOps(payload)
+	if err == nil && len(ops) == 0 && proto.IsBatchPayload(payload) {
+		// A carrier whose members are all empty has nothing to lock or
+		// log: it votes yes untouched, like a lone empty body.
+		return true
+	}
 	if err != nil || len(ops) == 0 {
 		e.voteNo++
 		return false

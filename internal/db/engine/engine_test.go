@@ -211,6 +211,12 @@ func TestBadPayloadVotesNo(t *testing.T) {
 	if e.Execute(2, EncodeOps(nil)) {
 		t.Fatal("empty op list accepted")
 	}
+	// Empty carrier members are skipped, but a malformed one still
+	// aborts the whole carrier.
+	carrier := proto.EncodeBatch([]proto.BatchMember{{TID: 3}, {TID: 4, Payload: []byte{1, 2, 3}}})
+	if e.Execute(3, carrier) {
+		t.Fatal("carrier with a garbage member accepted")
+	}
 }
 
 func TestCommitAbortIdempotentAndUnknown(t *testing.T) {

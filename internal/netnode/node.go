@@ -539,8 +539,8 @@ func (n *Node) loop() {
 	}
 }
 
-// handle processes one event on the loop goroutine — the exact dispatch
-// order of livenet's site loop: starts, then site-level recovery traffic
+// handle processes one event on the loop goroutine in a fixed dispatch
+// order: starts, then site-level recovery traffic
 // (inquiries answered from durable state, replies routed to the pending
 // inquiry), then automaton events.
 func (n *Node) handle(ev event) {

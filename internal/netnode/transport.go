@@ -14,12 +14,12 @@ import (
 
 // transport is one site's TCP layer: a listener for inbound peer
 // connections and one lazily-dialed outbound connection per peer. It
-// reproduces the network model the in-process runtimes use, with real
-// sockets:
+// reproduces the paper's network model with real sockets:
 //
 //   - each message is delayed by a uniform draw from [T/4, T/2) before it
 //     is put on the wire, keeping worst-case delivery strictly inside the
-//     paper's bound T (livenet's route, same reasoning);
+//     paper's bound T (the rest of T is headroom for real socket and
+//     scheduling latency);
 //   - a link on the blocklist is a partition boundary: the optimistic
 //     model turns the message around, and after another link delay the
 //     sender receives its own copy marked undeliverable;

@@ -1,10 +1,10 @@
 // Package netnode turns one site of the termination protocol into a real
-// network process: the same proto automata that run under the simulator
-// and the goroutine runtime, driven here by TCP connections, wall-clock
-// timers and a file-backed write-ahead log in the site's own workspace
-// directory. cmd/termnode wraps a Node in a daemon; the harness
-// subpackage boots N of them as separate OS processes and injects faults
-// by SIGKILL and by blocking links.
+// network process: the same proto automata that run under the simulator,
+// driven here by TCP connections, wall-clock timers and a file-backed
+// write-ahead log in the site's own workspace directory. cmd/termnode
+// wraps a Node in a daemon; the harness subpackage boots N of them as
+// separate OS processes and injects faults by SIGKILL and by blocking
+// links.
 //
 // This file is the wire codec. Every connection starts with a fixed-size
 // versioned hello identifying the sender site; after that the stream is a

@@ -20,8 +20,8 @@
 // allocation-free after a shard's first touch.
 //
 // Time-valued histograms record simulator ticks (sim.DefaultT = 1000
-// ticks is one protocol timeout window T); the live and net backends
-// convert wall time with their usual tick scale, so latency quantiles
+// ticks is one protocol timeout window T); the net backend converts
+// wall time with its usual tick scale, so latency quantiles
 // are comparable across backends. Wall-native measurements (WAL fsync)
 // record microseconds and say so in the metric name.
 package obs

@@ -7,8 +7,8 @@
 // decision — N transactions for the message cost (and, with WAL group
 // commit, the fsync cost) of one.
 //
-// The envelope is transport-agnostic: payloads are opaque to the sim,
-// live, and net backends alike, so the same bytes ride a simulator event
+// The envelope is transport-agnostic: payloads are opaque to the sim and
+// net backends alike, so the same bytes ride a simulator event
 // or a TCP frame (where EncodeXact wraps them like any other MsgXact
 // body). A magic prefix keeps batch payloads unmistakable for plain
 // engine op bodies: engine.DecodeOps reads the first four bytes as an op

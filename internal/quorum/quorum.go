@@ -21,7 +21,6 @@ package quorum
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"termproto/internal/db/engine"
 	"termproto/internal/placement"
@@ -119,35 +118,6 @@ func GroupsFor(asg *placement.Assignment, payload []byte) []Group {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
 	return out
-}
-
-// Tally counts quorum evaluations by result — the observability
-// companion to Eval. The counters are atomic so concurrent evaluators
-// (the live and net backends' submission paths) share one tally; a nil
-// *Tally counts nothing.
-type Tally struct {
-	met, unmet atomic.Uint64
-}
-
-// Eval evaluates the group against the rule and counts the result.
-func (t *Tally) Eval(g Group, ok func(proto.SiteID) bool, r Rule) bool {
-	met := Eval(g, ok, r)
-	if t != nil {
-		if met {
-			t.met.Add(1)
-		} else {
-			t.unmet.Add(1)
-		}
-	}
-	return met
-}
-
-// Counts returns how many evaluations met and missed their rule.
-func (t *Tally) Counts() (met, unmet uint64) {
-	if t == nil {
-		return 0, 0
-	}
-	return t.met.Load(), t.unmet.Load()
 }
 
 // Eval reports whether the group meets the rule given a reachability

@@ -7,9 +7,9 @@
 // simulator with a partitionable network, a formal FSA analyzer, a
 // database substrate (B-tree, WAL, lock manager) with durable crash
 // recovery — WAL replay, in-doubt resolution via the termination
-// protocol's inquiry round, anti-entropy catch-up — a live goroutine
-// runtime, and the full experiment suite that regenerates the paper's
-// figures and analytical tables.
+// protocol's inquiry round, anti-entropy catch-up — a termnode daemon
+// that runs each site as a real process, and the full experiment suite
+// that regenerates the paper's figures and analytical tables.
 //
 // This package is the public facade: it re-exports the supported API from
 // the internal packages. The examples/ directory shows typical usage; the
@@ -21,10 +21,10 @@
 // A Cluster is a long-lived execution surface: open it once, submit any
 // number of concurrent transactions (each with its own master), script
 // faults — partitions, heals, repartitions, site crashes and recoveries —
-// as timeline events, and run the whole scenario on either of two
-// pluggable backends: the deterministic discrete-event simulator
-// (NewSimBackend) or the goroutine-per-site real-time runtime
-// (NewLiveBackend).
+// as timeline events, and run the whole scenario on the deterministic
+// discrete-event simulator (NewSimBackend, the default). The same API
+// drives a localnet of real termnode processes through
+// internal/cluster's NetBackend (termsim -backend net).
 //
 //	c, err := termproto.Open(termproto.ClusterConfig{
 //	    Sites:    5,
@@ -45,7 +45,7 @@
 //
 // Times are virtual ticks: T = termproto.T = 1000 ticks is the longest
 // end-to-end network delay, so the paper's timeout windows (2T, 3T, 5T,
-// 6T) are exact multiples. The live backend maps 1000 ticks onto its
+// 6T) are exact multiples. The net backend maps 1000 ticks onto its
 // configured wall-clock T.
 //
 // A single-transaction experiment is the same surface: one Submit at
@@ -149,16 +149,12 @@ type (
 	TxnResult = cluster.TxnResult
 	// SiteOutcome is one site's final view of one transaction.
 	SiteOutcome = cluster.SiteOutcome
-	// Backend is a pluggable cluster runtime (sim or live).
+	// Backend is a pluggable cluster runtime.
 	Backend = cluster.Backend
 	// SimBackend is the deterministic discrete-event backend; SimOptions
 	// tunes it.
 	SimBackend = cluster.SimBackend
 	SimOptions = cluster.SimOptions
-	// LiveBackend is the goroutine/wall-clock backend; LiveOptions tunes
-	// it.
-	LiveBackend = cluster.LiveBackend
-	LiveOptions = cluster.LiveOptions
 	// Schedule is a timeline of fault events; ScheduleEvent is one entry.
 	Schedule      = cluster.Schedule
 	ScheduleEvent = cluster.Event
@@ -219,11 +215,8 @@ var (
 // Open starts a cluster (deterministic SimBackend unless configured).
 func Open(cfg ClusterConfig) (*Cluster, error) { return cluster.Open(cfg) }
 
-// Backend constructors.
-var (
-	NewSimBackend  = cluster.NewSimBackend
-	NewLiveBackend = cluster.NewLiveBackend
-)
+// NewSimBackend returns the deterministic discrete-event backend.
+var NewSimBackend = cluster.NewSimBackend
 
 // Schedule builders: partitions, heals, crashes, recoveries as timeline
 // events (times in ticks; T = 1000 ticks).
@@ -306,7 +299,7 @@ func FourPCTermination() Protocol { return fourpc.Protocol{TransientFix: true} }
 // MetricsSnapshot is a point-in-time view of a cluster's metric
 // registry: Cluster.Metrics returns one on every backend (the net
 // backend aggregates over the daemons' admin APIs), with an identical
-// family-name set across sim, live, and net. Snapshots Merge, answer
+// family-name set across sim and net. Snapshots Merge, answer
 // Total/Value lookups and histogram Quantile queries, and render
 // Prometheus text via WritePrometheus.
 type MetricsSnapshot = obs.Snapshot
